@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 
-from .groups import build_backend, dihedral_depth_formula
+from .groups import build_backend, check_size, dihedral_depth_formula
 from .oracle import depth_oracle
 from .patterns import is_boolean, is_fc, is_free
 from .stats import depth, descents, drop, excedances, length
@@ -69,18 +69,14 @@ def depth_distribution(kind, n):
     (n up to 5), kind "I2" applies the dihedral closed form (m = n up
     to 12).
     """
+    check_size(kind, n, "a kind %s depth table" % kind)
     if kind == "A":
-        if not 1 <= n <= 8:
-            raise ValueError("kind A depth tables support n in 1..8, got %d" % n)
         counts = Counter(depth(w) for w in permutations(range(1, n + 1)))
     elif kind == "B":
-        backend = build_backend("B", n)
-        counts = Counter(depth_oracle(backend))
-    elif kind == "I2":
+        counts = Counter(depth_oracle(build_backend("B", n)))
+    else:
         backend = build_backend("I2", n)
         counts = Counter(dihedral_depth_formula(backend, x) for x in backend.elements)
-    else:
-        raise ValueError("unknown group kind %r (expected A, B or I2)" % (kind,))
     table = tuple(counts.get(k, 0) for k in range(max(counts) + 1))
     return DepthTable(kind, n, "depth", table)
 
@@ -90,8 +86,7 @@ def joint_distribution(n, pair):
 
     pair is ("drop", "des") or ("dep", "exc").
     """
-    if not 1 <= n <= 8:
-        raise ValueError("joint tables support n in 1..8, got %d" % n)
+    check_size("A", n, "a joint table")
     pair = tuple(pair)
     if pair == ("drop", "des"):
         def key(w):
@@ -130,8 +125,7 @@ def count_class(n, cls, k=None):
     binomial double sum for boolean_by_length) are evaluated alongside
     the count and any disagreement raises.
     """
-    if not 1 <= n <= 8:
-        raise ValueError("class counts support n in 1..8, got %d" % n)
+    check_size("A", n, "a class count")
     windows = permutations(range(1, n + 1))
     expected = None
     if cls == "fc":

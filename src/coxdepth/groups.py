@@ -10,13 +10,17 @@ Three families are enumerated explicitly:
   (r, f) meaning rotation by r followed by a flip when f = 1.
 
 A backend enumerates its group once in a fixed order, ranks elements
-perfectly (mixed-radix arithmetic, no hashing), computes every Coxeter
-length by breadth-first search over the simple generators, and lists
-the reflections as the closure of the simples under conjugation. Depth
-enters through reflection_depth: a reflection of length l costs
-(l + 1) / 2, which in the symmetric group gives t_ij the cost j - i.
+perfectly (mixed-radix arithmetic, no hashing) and lists the reflections
+as the closure of the simples under conjugation. Its one shortest-path
+engine, distances, gives least total costs from the identity under
+right multiplication by weighted generators: unit-cost simples give the
+Coxeter length, unit-cost reflections the reflection length, and
+reflections costed by reflection_depth the depth. A reflection of length
+l costs (l + 1) / 2, which in the symmetric group gives t_ij the cost
+j - i.
 """
 
+from functools import cached_property
 from itertools import permutations
 
 from .perm_core import apply_transposition_right, compose, identity, inverse
@@ -42,10 +46,46 @@ class GroupBackend:
         self.inverse = inv
         self.rank = rank
         self.identity = elements[0]  # every family enumerates in rank order
-        self.lengths = _bfs_lengths(len(elements), self.identity, simples, multiply, rank)
+        self.lengths = self.distances([(s, 1) for s in simples])
         closure = _conjugation_closure(simples, multiply, inv)
         self.reflections = tuple(sorted(closure, key=reflection_key))
         self._reflection_ranks = frozenset(rank(t) for t in self.reflections)
+
+    def distances(self, steps):
+        """Least total costs from the identity, as a list indexed by rank.
+
+        steps lists (generator, cost) pairs with positive integer costs;
+        a path multiplies by generators on the right. The integer bucket
+        queue holds ranks, so settling an element costs no rank call.
+        Elements the steps never reach get None.
+        """
+        elements, multiply, rank = self.elements, self.multiply, self.rank
+        dist = [None] * len(elements)
+        dist[0] = 0  # the identity comes first in rank order
+        buckets = [[0]]
+        d = 0
+        while d < len(buckets):
+            for r in buckets[d]:
+                if dist[r] != d:
+                    continue  # superseded entry
+                x = elements[r]
+                for g, cost in steps:
+                    ry = rank(multiply(x, g))
+                    nd = d + cost
+                    old = dist[ry]
+                    if old is None or nd < old:
+                        dist[ry] = nd
+                        while len(buckets) <= nd:
+                            buckets.append([])
+                        buckets[nd].append(ry)
+            d += 1
+        return dist
+
+    @cached_property
+    def _reflection_lengths(self):
+        # computed on first use, then shared by the oracle and the
+        # factorization search
+        return self.distances([(t, 1) for t in self.reflections])
 
     def length(self, x):
         return self.lengths[self.rank(x)]
@@ -54,13 +94,22 @@ class GroupBackend:
         return self.rank(x) in self._reflection_ranks
 
 
-def build_backend(kind, size):
-    """Construct a backend; size means n for kinds A and B, m for I2."""
+def check_size(kind, size, what):
+    """Raise ValueError unless size lies within the cap of group kind.
+
+    The caps bound every exhaustive sweep; what names the caller in the
+    message, e.g. "verify supports sizes 1..8, got 9".
+    """
     if kind not in _CAPS:
         raise ValueError("unknown group kind %r (expected A, B or I2)" % (kind,))
     lo, hi = _CAPS[kind]
     if not lo <= size <= hi:
-        raise ValueError("kind %s supports sizes %d..%d, got %d" % (kind, lo, hi, size))
+        raise ValueError("%s supports sizes %d..%d, got %d" % (what, lo, hi, size))
+
+
+def build_backend(kind, size):
+    """Construct a backend; size means n for kinds A and B, m for I2."""
+    check_size(kind, size, "kind %s" % kind)
     if kind == "A":
         return _build_a(size)
     if kind == "B":
@@ -169,25 +218,6 @@ def _build_i2(m):
 
 # ------------------------------------------------------------- shared
 
-def _bfs_lengths(order, e, simples, multiply, rank):
-    lengths = [-1] * order
-    lengths[rank(e)] = 0
-    frontier = [e]
-    d = 0
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in simples:
-                y = multiply(x, s)
-                r = rank(y)
-                if lengths[r] < 0:
-                    lengths[r] = d + 1
-                    nxt.append(y)
-        frontier = nxt
-        d += 1
-    return lengths
-
-
 def _conjugation_closure(simples, multiply, inv):
     refl = set(simples)
     frontier = list(simples)
@@ -250,9 +280,7 @@ def dihedral_gf(m):
     1 + 2qt + (2+q) q^(m-1) t^((m+1)/2)
       + 2(1+q) t * sum_{i=1}^{(m-3)/2} q^(2i) t^i.
     """
-    lo, hi = _CAPS["I2"]
-    if not lo <= m <= hi:
-        raise ValueError("kind I2 supports sizes %d..%d, got %d" % (lo, hi, m))
+    check_size("I2", m, "kind I2")
     gf = {(0, 0): 1, (1, 1): 2}
     if m % 2 == 0:
         gf[(m, m // 2 + 1)] = 1

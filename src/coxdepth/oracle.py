@@ -2,11 +2,11 @@
 
 The depth of a group element is the least total cost of a product of
 reflections reaching it, where a reflection of Coxeter length l costs
-(l + 1) / 2. That is a single-source shortest path problem on the
-Cayley graph under right multiplication by reflections; since every
-cost is a small positive integer, a bucket queue settles elements in
-nondecreasing distance order without any heap. Reflection length is the
-same graph with unit costs, solved by plain breadth-first search.
+(l + 1) / 2. Reflection length is the same problem with unit costs.
+Both are single-source shortest paths on the Cayley graph under right
+multiplication by reflections, and both run on the backend's one
+engine, GroupBackend.distances, an integer bucket queue. The backend
+caches the reflection-length table.
 
 enumerate_min_factorizations walks every reflection product of a given
 length hitting a target, pruned by the reflection-length table, and is
@@ -19,56 +19,12 @@ from .groups import reflection_depth
 
 def depth_oracle(backend):
     """Depths of all elements, as a list indexed by backend rank."""
-    order = len(backend.elements)
-    edges = [(t, reflection_depth(backend, t)) for t in backend.reflections]
-    dist = [None] * order
-    dist[backend.rank(backend.identity)] = 0
-    buckets = [[backend.identity]]
-    d = 0
-    while d < len(buckets):
-        for x in buckets[d]:
-            if dist[backend.rank(x)] != d:
-                continue  # superseded entry
-            for t, cost in edges:
-                y = backend.multiply(x, t)
-                ry = backend.rank(y)
-                nd = d + cost
-                if dist[ry] is None or nd < dist[ry]:
-                    dist[ry] = nd
-                    while len(buckets) <= nd:
-                        buckets.append([])
-                    buckets[nd].append(y)
-        d += 1
-    return dist
+    return backend.distances([(t, reflection_depth(backend, t)) for t in backend.reflections])
 
 
 def reflection_length_oracle(backend):
     """Reflection lengths of all elements, indexed by backend rank."""
-    order = len(backend.elements)
-    dist = [None] * order
-    dist[backend.rank(backend.identity)] = 0
-    frontier = [backend.identity]
-    d = 0
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for t in backend.reflections:
-                y = backend.multiply(x, t)
-                r = backend.rank(y)
-                if dist[r] is None:
-                    dist[r] = d + 1
-                    nxt.append(y)
-        frontier = nxt
-        d += 1
-    return dist
-
-
-def _reflection_length_table(backend):
-    table = getattr(backend, "_rl_cache", None)
-    if table is None:
-        table = reflection_length_oracle(backend)
-        backend._rl_cache = table
-    return table
+    return list(backend._reflection_lengths)
 
 
 def enumerate_min_factorizations(backend, w, budget=None):
@@ -84,7 +40,7 @@ def enumerate_min_factorizations(backend, w, budget=None):
     """
     if backend.kind == "A" and backend.size > 6:
         raise ValueError("factorization search caps kind A at n=6, got n=%d" % backend.size)
-    rl = _reflection_length_table(backend)
+    rl = backend._reflection_lengths
     if budget is None:
         budget = rl[backend.rank(w)]
     if budget > 6:

@@ -11,8 +11,9 @@ For a window w in S_n:
   transposition factorization of w when t_ij costs j - i, which places
   it between the other two: reflection_length <= depth <= length.
 
-depth_after_transposition updates the statistic in O(1) after a single
-right multiplication that swaps a smaller value forward.
+depth_after_transposition gives the depth after a single right
+multiplication that swaps a smaller value forward: depth(w), which
+costs O(n), plus a correction found in O(1).
 """
 
 from math import factorial
@@ -52,7 +53,7 @@ def drop(w):
 
 
 def depth_after_transposition(w, i, j):
-    """depth(w * t_ij) for i < j with w(i) < w(j), without recomputing.
+    """depth(w * t_ij) for i < j with w(i) < w(j), from depth(w) in O(n).
 
     Swapping the smaller value forward adds min(w(j), j) - max(w(i), i)
     to the depth when that difference is positive and leaves the depth

@@ -173,6 +173,20 @@ def test_verify_suite_selection(capsys):
     assert not any("phi" in line for line in lines)
 
 
+def test_verify_reports_failing_closed_form(capsys, monkeypatch):
+    def disagree(*args):
+        raise AssertionError("closed form disagrees")
+
+    monkeypatch.setattr("coxdepth.cli.count_class", disagree)
+    code, out, err = run(capsys, "verify", "--n", "3", "--suite", "patterns")
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL class-counts-match-closed-forms" in lines
+    assert "FAIL boolean-length-refined-counts" in lines
+    assert "PASS fc-is-depth-eq-length" in lines
+    assert err == ""
+
+
 def test_verify_rejects_big_n(capsys):
     code, _, err = run(capsys, "verify", "--n", "9")
     assert code == 2

@@ -7,7 +7,7 @@ import pytest
 
 from coxdepth.perm_core import identity, parse
 from coxdepth.stats import depth, length, reflection_length
-from coxdepth.groups import build_backend, dihedral_depth_formula
+from coxdepth.groups import GroupBackend, build_backend, dihedral_depth_formula
 from coxdepth.oracle import (
     depth_oracle,
     enumerate_min_factorizations,
@@ -30,6 +30,60 @@ def test_reflection_length_oracle_matches_cycle_count():
         table = reflection_length_oracle(b)
         for w in b.elements:
             assert table[b.rank(w)] == reflection_length(w)
+
+
+def _signed_reflection_length(w):
+    # Carter's lemma: the codimension of the fixed space, which is n minus
+    # the number of cycles of |w| carrying an even number of negative entries
+    seen = set()
+    even_cycles = 0
+    for start in range(1, len(w) + 1):
+        if start in seen:
+            continue
+        negatives = 0
+        i = start
+        while i not in seen:
+            seen.add(i)
+            negatives += w[i - 1] < 0
+            i = abs(w[i - 1])
+        if negatives % 2 == 0:
+            even_cycles += 1
+    return len(w) - even_cycles
+
+
+def test_reflection_length_oracle_signed_matches_fixed_space():
+    for n in range(1, 5):
+        b = build_backend("B", n)
+        table = reflection_length_oracle(b)
+        for w in b.elements:
+            assert table[b.rank(w)] == _signed_reflection_length(w), w
+
+
+def test_reflection_length_oracle_dihedral():
+    for m in range(2, 13):
+        b = build_backend("I2", m)
+        table = reflection_length_oracle(b)
+        for r, f in b.elements:
+            want = 1 if f else (0 if r == 0 else 2)
+            assert table[b.rank((r, f))] == want, (m, r, f)
+
+
+def test_reflection_length_table_computed_once(monkeypatch):
+    b = build_backend("A", 4)
+    calls = []
+    engine = GroupBackend.distances
+
+    def counted(self, steps):
+        calls.append(len(steps))
+        return engine(self, steps)
+
+    monkeypatch.setattr(GroupBackend, "distances", counted)
+    first = enumerate_min_factorizations(b, parse("2341"))
+    second = enumerate_min_factorizations(b, parse("2341"))
+    assert first == second
+    assert calls == [len(b.reflections)]
+    assert reflection_length_oracle(b) is not reflection_length_oracle(b)
+    assert calls == [len(b.reflections)]
 
 
 def test_depth_oracle_dihedral_matches_closed_form():
