@@ -9,17 +9,30 @@ Three families are enumerated explicitly:
 - kind "I2", size m: the dihedral group of order 2m, stored as pairs
   (r, f) meaning rotation by r followed by a flip when f = 1.
 
-A backend enumerates its group once in a fixed order, ranks elements
-perfectly (mixed-radix arithmetic, no hashing) and lists the reflections
-as the closure of the simples under conjugation. Its one shortest-path
-engine, distances, gives least total costs from the identity under
-right multiplication by weighted generators: unit-cost simples give the
-Coxeter length, unit-cost reflections the reflection length, and
-reflections costed by reflection_depth the depth. A reflection of length
-l costs (l + 1) / 2, which in the symmetric group gives t_ij the cost
-j - i.
+A backend enumerates its group once in a fixed order; the rank of an
+element is its position in that order, looked up in a dict built once,
+and anything not in the group is refused with ValueError. The
+reflections are the closure of the simples under conjugation, and the
+closure records for each new reflection g one pair (s, u) with s simple
+and g = s u s.
+
+The backend owns one Cayley table per generator g: an array with
+table[r] = rank(elements[r] * g), of typecode 'H' while the group order
+fits in 16 bits (two bytes an entry, which covers every capped group)
+and 'I' above. The simples' tables are built from multiply and the
+index; every other reflection's table is composed from two earlier
+tables, table[g][r] = ts[tu[ts[r]]], without multiplying or hashing.
+Tables are built on first use and kept.
+
+Its one shortest-path engine, distances, walks those tables to give
+least total costs from the identity under right multiplication by
+weighted generators: unit-cost simples give the Coxeter length,
+unit-cost reflections the reflection length, and reflections costed by
+reflection_depth the depth. A reflection of length l costs (l + 1) / 2,
+which in the symmetric group gives t_ij the cost j - i.
 """
 
+from array import array
 from functools import cached_property
 from itertools import permutations
 
@@ -33,34 +46,65 @@ class GroupBackend:
 
     Attributes: kind ("A", "B" or "I2"), size (n, or m for "I2"),
     elements (rank order), identity, simples, reflections (canonical
-    display order), lengths (list indexed by rank). multiply, inverse
-    and rank are methods supplied by the family.
+    display order), lengths (list indexed by rank). multiply and
+    inverse are supplied by the family.
     """
 
-    def __init__(self, kind, size, elements, simples, multiply, inv, rank, reflection_key):
+    def __init__(self, kind, size, elements, simples, multiply, inv, reflection_key):
         self.kind = kind
         self.size = size
         self.elements = elements
         self.simples = simples
         self.multiply = multiply
         self.inverse = inv
-        self.rank = rank
         self.identity = elements[0]  # every family enumerates in rank order
+        self._index = {x: r for r, x in enumerate(elements)}
+        self._typecode = "H" if len(elements) <= 1 << 16 else "I"
+        self._tables = {}
+        self._conjugates = _conjugation_closure(simples, multiply, inv)
         self.lengths = self.distances([(s, 1) for s in simples])
-        closure = _conjugation_closure(simples, multiply, inv)
-        self.reflections = tuple(sorted(closure, key=reflection_key))
-        self._reflection_ranks = frozenset(rank(t) for t in self.reflections)
+        self.reflections = tuple(sorted(simples + tuple(self._conjugates), key=reflection_key))
+        self._reflection_ranks = frozenset(self.rank(t) for t in self.reflections)
+
+    def rank(self, x):
+        """Position of x in elements; ValueError if x is not in the group."""
+        try:
+            return self._index[x]
+        except (KeyError, TypeError):
+            name = "I2(%d)" % self.size if self.kind == "I2" else "%s%d" % (self.kind, self.size)
+            raise ValueError("not an element of %s: %r" % (name, x)) from None
+
+    def table(self, g):
+        """The Cayley table of g: an array with table[r] = rank(elements[r] * g).
+
+        Built on first use and kept. A reflection found by conjugation,
+        g = s u s, is composed from the tables of s and u; any other
+        generator is multiplied out once per element.
+        """
+        table = self._tables.get(g)
+        if table is None:
+            pair = self._conjugates.get(g)
+            if pair is None:
+                self.rank(g)  # refuse a non-element by name
+                index, multiply = self._index, self.multiply
+                table = array(self._typecode, [index[multiply(x, g)] for x in self.elements])
+            else:
+                ts, tu = self.table(pair[0]), self.table(pair[1])
+                table = array(self._typecode, [ts[tu[r]] for r in ts])
+            self._tables[g] = table
+        return table
 
     def distances(self, steps):
         """Least total costs from the identity, as a list indexed by rank.
 
         steps lists (generator, cost) pairs with positive integer costs;
         a path multiplies by generators on the right. The integer bucket
-        queue holds ranks, so settling an element costs no rank call.
-        Elements the steps never reach get None.
+        queue holds ranks and each edge is one lookup in the generator's
+        Cayley table, so the search never multiplies or hashes an
+        element. Elements the steps never reach get None.
         """
-        elements, multiply, rank = self.elements, self.multiply, self.rank
-        dist = [None] * len(elements)
+        edges = [(self.table(g), cost) for g, cost in steps]
+        dist = [None] * len(self.elements)
         dist[0] = 0  # the identity comes first in rank order
         buckets = [[0]]
         d = 0
@@ -68,9 +112,8 @@ class GroupBackend:
             for r in buckets[d]:
                 if dist[r] != d:
                     continue  # superseded entry
-                x = elements[r]
-                for g, cost in steps:
-                    ry = rank(multiply(x, g))
+                for table, cost in edges:
+                    ry = table[r]
                     nd = d + cost
                     old = dist[ry]
                     if old is None or nd < old:
@@ -119,19 +162,6 @@ def build_backend(kind, size):
 
 # ---------------------------------------------------------------- kind A
 
-def _perm_rank(w):
-    # Lehmer code folded in the factorial base; matches lexicographic order
-    n = len(w)
-    r = 0
-    for i in range(n):
-        c = 0
-        for j in range(i + 1, n):
-            if w[j] < w[i]:
-                c += 1
-        r = r * (n - i) + c
-    return r
-
-
 def _moved_pair(t):
     moved = [i for i, x in enumerate(t, start=1) if x != i]
     return (moved[0], moved[-1])
@@ -141,7 +171,7 @@ def _build_a(n):
     elements = list(permutations(range(1, n + 1)))
     e = identity(n)
     simples = tuple(apply_transposition_right(e, i, i + 1) for i in range(1, n))
-    return GroupBackend("A", n, elements, simples, compose, inverse, _perm_rank, _moved_pair)
+    return GroupBackend("A", n, elements, simples, compose, inverse, _moved_pair)
 
 
 # ---------------------------------------------------------------- kind B
@@ -163,14 +193,6 @@ def inverse_signed(a):
     return tuple(inv)
 
 
-def _signed_rank(w):
-    n = len(w)
-    bits = 0
-    for x in w:
-        bits = (bits << 1) | (1 if x < 0 else 0)
-    return _perm_rank(tuple(abs(x) for x in w)) * (1 << n) + bits
-
-
 def _signed_reflection_key(t):
     moved = [i for i, x in enumerate(t, start=1) if x != i]
     i = moved[0]
@@ -187,7 +209,7 @@ def _build_b(n):
             elements.append(tuple(-x if (bits >> (n - i)) & 1 else x for i, x in enumerate(p, start=1)))
     e = identity(n)
     simples = ((-1,) + e[1:],) + tuple(apply_transposition_right(e, i, i + 1) for i in range(1, n))
-    return GroupBackend("B", n, elements, simples, compose_signed, inverse_signed, _signed_rank, _signed_reflection_key)
+    return GroupBackend("B", n, elements, simples, compose_signed, inverse_signed, _signed_reflection_key)
 
 
 # --------------------------------------------------------------- kind I2
@@ -202,35 +224,37 @@ def _make_dihedral_ops(m):
         r, f = a
         return a if f else ((-r) % m, 0)
 
-    def rank(a):
-        r, f = a
-        return f * m + r
+    return multiply, inv
 
-    return multiply, inv, rank
+
+def _dihedral_reflection_key(t):
+    return t[0]  # every reflection is a flip (r, 1)
 
 
 def _build_i2(m):
     elements = [(r, f) for f in (0, 1) for r in range(m)]
-    multiply, inv, rank = _make_dihedral_ops(m)
+    multiply, inv = _make_dihedral_ops(m)
     simples = ((0, 1), (1, 1))
-    return GroupBackend("I2", m, elements, simples, multiply, inv, rank, rank)
+    return GroupBackend("I2", m, elements, simples, multiply, inv, _dihedral_reflection_key)
 
 
 # ------------------------------------------------------------- shared
 
 def _conjugation_closure(simples, multiply, inv):
-    refl = set(simples)
+    # {g: (s, u)} for every reflection g outside simples, with s simple,
+    # u found earlier and g = s u s^-1 (= s u s, simples being involutions)
+    found = {}
     frontier = list(simples)
     while frontier:
         nxt = []
-        for t in frontier:
+        for u in frontier:
             for s in simples:
-                u = multiply(multiply(s, t), inv(s))
-                if u not in refl:
-                    refl.add(u)
-                    nxt.append(u)
+                g = multiply(multiply(s, u), inv(s))
+                if g not in found and g not in simples:
+                    found[g] = (s, u)
+                    nxt.append(g)
         frontier = nxt
-    return refl
+    return found
 
 
 def reflection_depth(backend, t):
@@ -302,8 +326,6 @@ def joint_length_depth(backend, depths):
     depths is a list indexed by rank, e.g. from the depth oracle.
     """
     gf = {}
-    for x in backend.elements:
-        r = backend.rank(x)
-        key = (backend.lengths[r], depths[r])
+    for key in zip(backend.lengths, depths):
         gf[key] = gf.get(key, 0) + 1
     return gf

@@ -1,12 +1,14 @@
 """Group backends: windows, signed windows, dihedral pairs."""
 
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from coxdepth.perm_core import parse
 from coxdepth.stats import length as window_length
 from coxdepth.groups import (
+    GroupBackend,
     build_backend,
     dihedral_depth_formula,
     dihedral_gf,
@@ -67,12 +69,30 @@ def test_backend_a_multiply_matches_window_compose():
             assert b.multiply(u, b.inverse(u)) == b.identity
 
 
+def _lehmer_rank(w):
+    # Lehmer code folded in the factorial base: the lexicographic rank of w
+    n = len(w)
+    r = 0
+    for i in range(n):
+        r = r * (n - i) + sum(1 for j in range(i + 1, n) if w[j] < w[i])
+    return r
+
+
 def test_backend_b_order_and_identity():
     b = build_backend("B", 3)
     assert len(b.elements) == 48
     assert b.identity == (1, 2, 3)
-    for i, x in enumerate(b.elements):
-        assert b.rank(x) == i
+
+
+def test_backend_b_rank_order():
+    # rank = Lehmer rank of |w| times 2^n, plus the sign bits read from
+    # position 1 (high bit) to position n (low bit)
+    for n in range(1, 5):
+        b = build_backend("B", n)
+        assert len(b.elements) == 2 ** n * factorial(n)
+        for x in b.elements:
+            bits = int("".join("1" if v < 0 else "0" for v in x), 2)
+            assert b.rank(x) == _lehmer_rank(tuple(abs(v) for v in x)) * 2 ** n + bits
 
 
 def test_backend_b_simples():
@@ -134,6 +154,55 @@ def test_backend_i2_orders_and_lengths():
         assert len(b.reflections) == m
         for t in b.reflections:
             assert b.multiply(t, t) == b.identity
+
+
+def test_backend_i2_rank_order():
+    # rank of (r, f), rotation r then flip f, is f * m + r
+    for m in range(2, 13):
+        b = build_backend("I2", m)
+        assert [b.rank((r, f)) for f in (0, 1) for r in range(m)] == list(range(2 * m))
+        assert b.elements == [(r, f) for f in (0, 1) for r in range(m)]
+
+
+def test_rank_refuses_non_elements_a():
+    a4 = build_backend("A", 4)
+    with pytest.raises(ValueError, match=r"not an element of A4: \(5, 5\)"):
+        a4.rank((5, 5))
+    for x in ((5, 5), (1, 2, 3), (1, 2, 3, 3), [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="not an element of A4"):
+            a4.length(x)
+    with pytest.raises(ValueError, match=r"not an element of A4: \(2, 1\)"):
+        a4.is_reflection((2, 1))
+    with pytest.raises(ValueError, match="not an element of A4"):
+        reflection_depth(a4, (2, 1))
+
+
+def test_rank_refuses_non_elements_b():
+    b2 = build_backend("B", 2)
+    with pytest.raises(ValueError, match=r"not an element of B2: \(3, -3\)"):
+        b2.length((3, -3))
+    with pytest.raises(ValueError, match="not an element of B2"):
+        b2.is_reflection((1, 2, 3))
+
+
+def test_rank_refuses_non_elements_i2():
+    i4 = build_backend("I2", 4)
+    with pytest.raises(ValueError, match=r"not an element of I2\(4\): \(7, 1\)"):
+        dihedral_depth_formula(i4, (7, 1))
+    with pytest.raises(ValueError, match="not an element of I2"):
+        i4.distances([((4, 0), 1)])
+
+
+def test_tables_widen_past_sixteen_bits():
+    # two-byte tables hold every capped group; a larger order needs 'I'
+    assert build_backend("A", 5).table((2, 1, 3, 4, 5)).typecode == "H"
+    order = (1 << 16) + 5
+    cyclic = GroupBackend(
+        "Z", order, list(range(order)), (1,),
+        lambda a, b: (a + b) % order, lambda a: -a % order, None,
+    )
+    assert cyclic.table(1).typecode == "I"
+    assert cyclic.lengths[-1] == order - 1
 
 
 def test_dihedral_depth_formula_values():

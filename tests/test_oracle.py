@@ -1,7 +1,8 @@
 """Cayley-graph oracles and bounded factorization enumeration."""
 
-from collections import Counter
-from itertools import permutations
+from collections import Counter, defaultdict
+from functools import reduce
+from itertools import permutations, product
 
 import pytest
 
@@ -139,6 +140,52 @@ def test_enumerate_respects_budget():
     # with itself
     pairs = enumerate_min_factorizations(b, identity(3), budget=2)
     assert pairs == [(0, 0), (1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("kind, size", [("A", 4), ("B", 3)])
+def test_enumerate_matches_brute_force(kind, size):
+    # every reflection product of length k, grouped by its value, in
+    # lexicographic order of the index sequences
+    b = build_backend(kind, size)
+    refl = b.reflections
+    rl = reflection_length_oracle(b)
+    top = min(max(rl) + 2, 6)
+    brute = {}
+    for k in range(top + 1):
+        by_value = defaultdict(list)
+        for seq in product(range(len(refl)), repeat=k):
+            by_value[reduce(b.multiply, (refl[i] for i in seq), b.identity)].append(seq)
+        brute[k] = by_value
+    for w in b.elements:
+        least = rl[b.rank(w)]
+        assert enumerate_min_factorizations(b, w) == brute[least][w]
+        for k in range(least, min(least + 2, 6) + 1):
+            assert enumerate_min_factorizations(b, w, budget=k) == brute[k].get(w, []), (w, k)
+
+
+@pytest.mark.parametrize("kind, size", [("A", 5), ("B", 3), ("I2", 6)])
+def test_searches_walk_tables_not_multiply(kind, size):
+    b = build_backend(kind, size)
+    calls = []
+    multiply = b.multiply
+
+    def counted(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    b.multiply = counted
+    depth_oracle(b)
+    reflection_length_oracle(b)
+    for w in b.elements[:: max(1, len(b.elements) // 20)]:
+        enumerate_min_factorizations(b, w)
+        enumerate_min_factorizations(b, w, budget=4)
+    assert calls == []
+    # a second search on the same backend reuses every table
+    tables = dict(b._tables)
+    assert set(tables) == set(b.simples) | set(b.reflections)
+    depth_oracle(b)
+    assert b._tables.keys() == tables.keys()
+    assert all(b._tables[g] is tables[g] for g in tables)
 
 
 def test_enumerate_caps():
