@@ -1,0 +1,429 @@
+"""The property checks behind `coxdepth verify` and the acceptance tests.
+
+CHECKS lists every check as a row (name, suite, cap, check), in the
+order `verify` prints them. check(k) sweeps the group or groups of size
+k and returns None when the property holds, or a one-line witness that
+names the element (or the size) and the values that disagree. Witness
+text is built only when a check fails.
+
+run(name, n) calls a check at min(n, cap); a cap of None runs it at n.
+The caps are a time budget for `verify --n 8`. The capped checks nest
+work inside the sweep over S_n: every transposition of every window,
+the refined counts at every length, a Cayley-graph backend and its
+oracles. Together they take about 1.4 s at their caps and about 14 s
+at n = 8 (Python 3.11.7, 2 vCPUs), which would more than double the
+run. The factorization search itself refuses S_n above n = 6. The two
+dihedral checks ignore n: they cover I2(2)..I2(12), and I2(4) against
+B2, at every size."""
+
+from collections import Counter
+from functools import lru_cache
+from itertools import permutations
+from math import comb, factorial
+
+from .perm_core import apply_transposition_right, compose, identity, inverse, parse
+from .perm_core import format as format_window
+from .stats import (
+    depth,
+    depth_after_transposition,
+    descents,
+    drop,
+    excedances,
+    length,
+    max_depth_bound,
+    max_depth_count,
+    reflection_length,
+)
+from .decomp import selection_factorization, shallow_decomp, sorting_index, verify_factorization
+from .groups import (
+    build_backend,
+    dihedral_depth_formula,
+    dihedral_gf,
+    joint_length_depth,
+    reflection_depth,
+)
+from .oracle import depth_oracle, enumerate_min_factorizations, reflection_length_oracle
+from .bijections import dyck_of_perm, lr_maxima, minimal_fiber_rep, steingrimsson_phi, steingrimsson_phi_inverse
+from .patterns import cycles_are_intervals, is_boolean, is_fc, is_free, support
+from .enumeration import KNOWN_DEPTH_ROWS_A, count_class, depth_distribution, joint_distribution
+
+
+def _windows(k):
+    return permutations(range(1, k + 1))
+
+
+@lru_cache(maxsize=1)
+def _backend(kind, size):
+    # the type-A oracle checks run one after another on one backend
+    return build_backend(kind, size)
+
+
+def _triple(w):
+    return "%s: rlength %d, depth %d, length %d" % (
+        format_window(w), reflection_length(w), depth(w), length(w))
+
+
+# ------------------------------------------------------------------ core
+
+def _parse_format_round_trip(k):
+    for w in _windows(k):
+        text = format_window(w)
+        if parse(text) != w:
+            return "%s formats as %r, which parses as %s" % (w, text, parse(text))
+    return None
+
+
+def _compose_inverse_identity(k):
+    e = identity(k)
+    for w in _windows(k):
+        v = inverse(w)
+        if compose(w, v) != e or compose(v, w) != e:
+            return "%s with inverse %s: w w^-1 = %s, w^-1 w = %s" % tuple(
+                map(format_window, (w, v, compose(w, v), compose(v, w))))
+    return None
+
+
+def _bounds_chain(k):
+    for w in _windows(k):
+        if not reflection_length(w) <= depth(w) <= length(w):
+            return _triple(w)
+    return None
+
+
+def _depth_rlength_collapse(k):
+    # depth hits its lower bound exactly when length does
+    for w in _windows(k):
+        rl = reflection_length(w)
+        if (depth(w) == rl) != (length(w) == rl):
+            return _triple(w)
+    return None
+
+
+def _depth_of_inverse(k):
+    for w in _windows(k):
+        v = inverse(w)
+        if depth(w) != depth(v):
+            return "depth(%s) = %d, depth(%s) = %d" % (
+                format_window(w), depth(w), format_window(v), depth(v))
+    return None
+
+
+def _excedance_cover_bound(k):
+    # each excedance value w(i) needs at least w(i) - i larger-then-smaller
+    # crossings after it, with equality exactly at left-to-right maxima
+    for w in _windows(k):
+        maxima = {i for i, _ in lr_maxima(w)}
+        for i in excedances(w):
+            crossings = sum(1 for j in range(i + 1, k + 1) if w[j - 1] < w[i - 1])
+            if crossings < w[i - 1] - i or (crossings == w[i - 1] - i) != (i in maxima):
+                return "%s, excedance at %d: %d crossings, w(i) - i = %d, left-to-right maximum %s" % (
+                    format_window(w), i, crossings, w[i - 1] - i, i in maxima)
+    return None
+
+
+def _max_depth_extremes(k):
+    row = depth_distribution("A", k).counts
+    if len(row) - 1 != max_depth_bound(k) or row[-1] != max_depth_count(k):
+        return "S_%d: top depth %d held by %d, formulas %d held by %d" % (
+            k, len(row) - 1, row[-1], max_depth_bound(k), max_depth_count(k))
+    return None
+
+
+def _depth_table_row(k):
+    row = depth_distribution("A", k).counts
+    if row != KNOWN_DEPTH_ROWS_A[k]:
+        return "S_%d depth row %s, reference %s" % (k, row, KNOWN_DEPTH_ROWS_A[k])
+    return None
+
+
+def _shallow_certificates(k):
+    for w in _windows(k):
+        report = verify_factorization(w, shallow_decomp(w))
+        if not report.ok:
+            return "%s: %s" % (format_window(w), report)
+    return None
+
+
+def _selection_dominates(k):
+    for w in _windows(k):
+        if sorting_index(w) < depth(w) or len(selection_factorization(w).factors) != reflection_length(w):
+            return "%s: sorting index %d, depth %d, %d selection factors, rlength %d" % (
+                format_window(w), sorting_index(w), depth(w),
+                len(selection_factorization(w).factors), reflection_length(w))
+    return None
+
+
+def _depth_delta_formula(k):
+    for w in _windows(k):
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                if w[i - 1] < w[j - 1]:
+                    direct = depth(apply_transposition_right(w, i, j))
+                    if depth_after_transposition(w, i, j) != direct:
+                        return "%s t(%d,%d): delta formula %d, direct %d" % (
+                            format_window(w), i, j, depth_after_transposition(w, i, j), direct)
+    return None
+
+
+# ------------------------------------------------------------- bijection
+
+def _phi_bijective(k):
+    images = set()
+    for w in _windows(k):
+        v = steingrimsson_phi(w)
+        if v in images:
+            return "phi(%s) = %s repeats an earlier image" % (format_window(w), format_window(v))
+        images.add(v)
+    if len(images) != factorial(k):
+        return "phi takes %d values on S_%d, expected %d" % (len(images), k, factorial(k))
+    return None
+
+
+def _phi_transports_stats(k):
+    for w in _windows(k):
+        v = steingrimsson_phi(w)
+        if len(descents(w)) != len(excedances(v)) or drop(w) != depth(v):
+            return "phi(%s) = %s: des %d, exc %d, drop %d, depth %d" % (
+                format_window(w), format_window(v), len(descents(w)), len(excedances(v)), drop(w), depth(v))
+    return None
+
+
+def _phi_round_trip(k):
+    for w in _windows(k):
+        back = steingrimsson_phi_inverse(steingrimsson_phi(w))
+        if back != w:
+            return "phi^-1(phi(%s)) = %s" % (format_window(w), format_window(back))
+    return None
+
+
+def _joint_tables_equal(k):
+    by_drop = dict(joint_distribution(k, ("drop", "des")).coeffs)
+    by_depth = dict(joint_distribution(k, ("dep", "exc")).coeffs)
+    if by_drop != by_depth:
+        q, t = min(key for key in by_drop.keys() | by_depth.keys() if by_drop.get(key) != by_depth.get(key))
+        return "S_%d, q^%d t^%d: drop/des %d, dep/exc %d" % (
+            k, q, t, by_drop.get((q, t), 0), by_depth.get((q, t), 0))
+    return None
+
+
+def _fiber_unique_minimal(k):
+    fibers = {}
+    for w in _windows(k):
+        fibers.setdefault(dyck_of_perm(w), []).append(w)
+    for path, fiber in fibers.items():
+        rep = minimal_fiber_rep(path)
+        for w in fiber:
+            if (depth(w) == length(w)) != (w == rep):
+                return "%s: depth %d, length %d, its fiber's minimal element %s" % (
+                    format_window(w), depth(w), length(w), format_window(rep))
+    return None
+
+
+def _lr_maxima_lower_bound(k):
+    for w in _windows(k):
+        base = sum(x - i for i, x in lr_maxima(w))
+        if not base <= depth(w) <= length(w):
+            return "%s: left-to-right maxima bound %d, depth %d, length %d" % (
+                format_window(w), base, depth(w), length(w))
+    return None
+
+
+def _dyck_path_count(k):
+    found = len({dyck_of_perm(w) for w in _windows(k)})
+    catalan = comb(2 * k, k) // (k + 1)
+    if found != catalan:
+        return "S_%d reaches %d Dyck paths, Catalan number %d" % (k, found, catalan)
+    return None
+
+
+# ---------------------------------------------------------------- oracle
+
+def _depth_three_ways(k):
+    b = _backend("A", k)
+    depths = depth_oracle(b)
+    for w in b.elements:
+        if not depth(w) == depths[b.rank(w)] == shallow_decomp(w).total_weight:
+            return "%s: formula %d, oracle %d, greedy %d" % (
+                format_window(w), depth(w), depths[b.rank(w)], shallow_decomp(w).total_weight)
+    return None
+
+
+def _rlength_two_ways(k):
+    b = _backend("A", k)
+    table = reflection_length_oracle(b)
+    for w in b.elements:
+        if table[b.rank(w)] != reflection_length(w):
+            return "%s: oracle %d, cycle count %d" % (
+                format_window(w), table[b.rank(w)], reflection_length(w))
+    return None
+
+
+def _backend_length_is_inversions(k):
+    b = _backend("A", k)
+    for w in b.elements:
+        if b.length(w) != length(w):
+            return "%s: backend length %d, inversions %d" % (format_window(w), b.length(w), length(w))
+    return None
+
+
+def _reflections_are_transpositions(k):
+    b = _backend("A", k)
+    seen = set()
+    for t in b.reflections:
+        moved = [i for i, x in enumerate(t, start=1) if x != i]
+        if len(moved) != 2:
+            return "reflection %s moves %d points" % (format_window(t), len(moved))
+        i, j = moved
+        if b.lengths[b.rank(t)] % 2 == 0:
+            return "reflection %s has even length %d" % (format_window(t), b.lengths[b.rank(t)])
+        if reflection_depth(b, t) != j - i:
+            return "reflection %s: depth %d, j - i = %d" % (format_window(t), reflection_depth(b, t), j - i)
+        seen.add((i, j))
+    if len(seen) != k * (k - 1) // 2:
+        return "S_%d has %d reflections, expected %d" % (k, len(seen), k * (k - 1) // 2)
+    return None
+
+
+def _signed_dihedral_cross_check(k):
+    # the rank two signed group is the dihedral group of order 8
+    signed = Counter(depth_oracle(build_backend("B", 2)))
+    dihedral = Counter({d: c for d, c in enumerate(depth_distribution("I2", 4).counts) if c})
+    if signed != dihedral:
+        return "depth counts B2 %s, I2(4) %s" % (sorted(signed.items()), sorted(dihedral.items()))
+    return None
+
+
+def _dihedral_formula_match(k):
+    for m in range(2, 13):
+        b = build_backend("I2", m)
+        depths = depth_oracle(b)
+        for x in b.elements:
+            if depths[b.rank(x)] != dihedral_depth_formula(b, x):
+                return "I2(%d) element %s: oracle %d, formula %d" % (
+                    m, x, depths[b.rank(x)], dihedral_depth_formula(b, x))
+        if dihedral_gf(m) != joint_length_depth(b, depths):
+            return "I2(%d): the closed-form polynomial differs from the oracle's" % m
+    return None
+
+
+def _min_factorizations_free_iff_simple(k):
+    b = _backend("A", k)
+    simple_idx = {b.reflections.index(s) for s in b.simples}
+    for w in b.elements:
+        if length(w) != reflection_length(w):
+            continue
+        seqs = enumerate_min_factorizations(b, w)
+        all_simple = all(idx in simple_idx for seq in seqs for idx in seq)
+        if all_simple != is_free(w):
+            return "%s: minimal factorizations all simple %s, free %s" % (
+                format_window(w), all_simple, is_free(w))
+    return None
+
+
+# -------------------------------------------------------------- patterns
+
+def _fc_is_depth_eq_length(k):
+    for w in _windows(k):
+        if is_fc(w) != (depth(w) == length(w)):
+            return "%s: fc %s, depth %d, length %d" % (format_window(w), is_fc(w), depth(w), length(w))
+    return None
+
+
+def _boolean_is_length_eq_rlength(k):
+    for w in _windows(k):
+        if is_boolean(w) != (length(w) == reflection_length(w)):
+            return "%s: boolean %s, length %d, rlength %d" % (
+                format_window(w), is_boolean(w), length(w), reflection_length(w))
+    return None
+
+
+def _class_counts_match_closed_forms(k):
+    # count_class raises AssertionError when a closed form disagrees
+    try:
+        count_class(k, "fc")
+        count_class(k, "boolean")
+        count_class(k, "free")
+        if k >= 3:
+            count_class(k, "depth_eq", 2)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _boolean_support_length(k):
+    for w in _windows(k):
+        if is_boolean(w) != (length(w) == len(support(w))):
+            return "%s: boolean %s, length %d, support %s" % (
+                format_window(w), is_boolean(w), length(w), sorted(support(w)))
+    return None
+
+
+def _boolean_length_refined_counts(k):
+    try:
+        for ell in range(1, k * (k - 1) // 2 + 1):
+            count_class(k, "boolean_by_length", ell)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _boolean_cycles_are_intervals(k):
+    for w in _windows(k):
+        if is_boolean(w) and not cycles_are_intervals(w):
+            return "%s is boolean but has a cycle that is not an interval" % format_window(w)
+    return None
+
+
+def _free_support_gaps(k):
+    for w in _windows(k):
+        if is_free(w):
+            s = support(w)
+            if not is_boolean(w) or any(i + 1 in s for i in s):
+                return "%s is free, boolean %s, support %s" % (format_window(w), is_boolean(w), sorted(s))
+    return None
+
+
+CHECKS = (
+    ("parse-format-round-trip", "core", 6, _parse_format_round_trip),
+    ("compose-inverse-identity", "core", 6, _compose_inverse_identity),
+    ("bounds-chain", "core", None, _bounds_chain),
+    ("depth-rlength-collapse", "core", None, _depth_rlength_collapse),
+    ("depth-of-inverse", "core", 7, _depth_of_inverse),
+    ("excedance-cover-bound", "core", 7, _excedance_cover_bound),
+    ("max-depth-extremes", "core", None, _max_depth_extremes),
+    ("depth-table-row", "core", None, _depth_table_row),
+    ("shallow-certificates", "core", None, _shallow_certificates),
+    ("selection-dominates", "core", 7, _selection_dominates),
+    ("depth-delta-formula", "core", 6, _depth_delta_formula),
+    ("phi-bijective", "bijection", None, _phi_bijective),
+    ("phi-transports-stats", "bijection", None, _phi_transports_stats),
+    ("phi-round-trip", "bijection", None, _phi_round_trip),
+    ("joint-tables-equal", "bijection", None, _joint_tables_equal),
+    ("fiber-unique-minimal", "bijection", 7, _fiber_unique_minimal),
+    ("lr-maxima-lower-bound", "bijection", 7, _lr_maxima_lower_bound),
+    ("dyck-path-count", "bijection", 7, _dyck_path_count),
+    ("depth-three-ways", "oracle", 7, _depth_three_ways),
+    ("rlength-two-ways", "oracle", 7, _rlength_two_ways),
+    ("backend-length-is-inversions", "oracle", 7, _backend_length_is_inversions),
+    ("reflections-are-transpositions", "oracle", 7, _reflections_are_transpositions),
+    ("signed-dihedral-cross-check", "oracle", None, _signed_dihedral_cross_check),
+    ("dihedral-formula-match", "oracle", None, _dihedral_formula_match),
+    ("min-factorizations-free-iff-simple", "oracle", 6, _min_factorizations_free_iff_simple),
+    ("fc-is-depth-eq-length", "patterns", None, _fc_is_depth_eq_length),
+    ("boolean-is-length-eq-rlength", "patterns", None, _boolean_is_length_eq_rlength),
+    ("class-counts-match-closed-forms", "patterns", None, _class_counts_match_closed_forms),
+    ("boolean-support-length", "patterns", 7, _boolean_support_length),
+    ("boolean-length-refined-counts", "patterns", 7, _boolean_length_refined_counts),
+    ("boolean-cycles-are-intervals", "patterns", 7, _boolean_cycles_are_intervals),
+    ("free-support-gaps", "patterns", 7, _free_support_gaps),
+)
+
+SUITES = tuple(dict.fromkeys(suite for _, suite, _, _ in CHECKS))
+
+_ROWS = {row[0]: row for row in CHECKS}
+
+
+def run(name, n):
+    """The witness of check `name` at size min(n, cap), or None when it holds."""
+    _, _, cap, check = _ROWS[name]
+    return check(n if cap is None else min(n, cap))

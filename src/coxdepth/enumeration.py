@@ -119,13 +119,16 @@ def count_class(n, cls, k=None):
     """Count a class of windows in S_n exhaustively, checking closed forms.
 
     cls is one of "fc", "boolean", "free", "depth_eq" or
-    "boolean_by_length"; the last two take the extra parameter k. Known
-    closed forms (Catalan for fc, Fibonacci F_{2n-1} for boolean,
-    F_{n+1} for free, (n+3)(n-2)/2 for depth_eq(2) with n >= 3, a
-    binomial double sum for boolean_by_length) are evaluated alongside
-    the count and any disagreement raises.
+    "boolean_by_length"; the last two need the extra parameter k, and
+    the first three raise ValueError when given one. Known closed forms
+    (Catalan for fc, Fibonacci F_{2n-1} for boolean, F_{n+1} for free,
+    (n+3)(n-2)/2 for depth_eq(2) with n >= 3, a binomial double sum for
+    boolean_by_length) are evaluated alongside the count and any
+    disagreement raises.
     """
     check_size("A", n, "a class count")
+    if k is not None and cls in ("fc", "boolean", "free"):
+        raise ValueError("class %s takes no parameter k" % cls)
     windows = permutations(range(1, n + 1))
     expected = None
     if cls == "fc":

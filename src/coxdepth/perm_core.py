@@ -71,7 +71,8 @@ def parse(text):
 
     Two forms are accepted: contiguous digits like "3412" (which caps n
     at 9), or values separated by spaces or commas like "3 4 1 2" or
-    "3,4,1,2". The values must be exactly 1..n in some order.
+    "3,4,1,2". The values must be exactly 1..n in some order. Digits
+    are the ASCII 0-9 only; other Unicode digits are malformed tokens.
     """
     s = text.strip()
     if not s:
@@ -82,7 +83,7 @@ def parse(text):
         tokens = list(s)
     values = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ParseError("malformed token %r" % tok)
         values.append(int(tok))
     n = len(values)

@@ -1,54 +1,30 @@
 """Acceptance checks: one test per criterion, run in order.
 
-Each test records one "criterion K: PASS/FAIL" line; the conftest hook
-echoes the collected lines after the run. Criterion 3 checks the
-signed-group depth rows twice over: the reference rows must equal the
-rows derived inside this file from the definition of depth (the
-Björner–Brenti length formula and a shortest-path search that use no
-coxdepth code) and obey closed-form counts, and the library's rows must
-equal the reference rows.
-"""
+Each test records one "criterion K: PASS/FAIL" line, and every failure
+path records its FAIL line before the test fails; the conftest hook
+echoes the collected lines after the run. Criteria 2 and 4-11 run the
+property checks of coxdepth.checks, the registry `coxdepth verify`
+runs, at the sizes each test lists, and a FAIL line carries the check's
+witness. Criterion 3 checks the signed-group depth rows twice over: the
+reference rows must equal the rows derived inside this file from the
+definition of depth (the Björner–Brenti length formula and a
+shortest-path search that use no coxdepth code) and obey closed-form
+counts, and the library's rows must equal the reference rows."""
 
 import heapq
 import math
 import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
-from coxdepth.perm_core import apply_transposition_right, identity, parse
-from coxdepth.stats import (
-    depth,
-    depth_after_transposition,
-    descents,
-    drop,
-    excedances,
-    length,
-    max_depth_bound,
-    max_depth_count,
-    reflection_length,
-)
-from coxdepth.decomp import shallow_decomp, verify_factorization
-from coxdepth.groups import (
-    build_backend,
-    dihedral_depth_formula,
-    dihedral_gf,
-    joint_length_depth,
-)
-from coxdepth.oracle import (
-    depth_oracle,
-    enumerate_min_factorizations,
-    reflection_length_oracle,
-)
-from coxdepth.bijections import steingrimsson_phi
-from coxdepth.patterns import is_free
-from coxdepth.enumeration import (
-    KNOWN_DEPTH_ROWS_A,
-    count_class,
-    depth_distribution,
-    joint_distribution,
-)
+from coxdepth import checks
+from coxdepth.perm_core import parse
+from coxdepth.stats import depth, length, reflection_length
+from coxdepth.groups import build_backend
+from coxdepth.oracle import depth_oracle, enumerate_min_factorizations, reflection_length_oracle
+from coxdepth.enumeration import count_class, depth_distribution
 
 RESULTS = []
 
@@ -61,8 +37,24 @@ def _report(k, ok, detail=""):
     print(line)
 
 
-def windows(n):
-    return permutations(range(1, n + 1))
+def _fail(k, detail):
+    """Record criterion k as failed, naming why, and fail the test."""
+    _report(k, False, detail)
+    pytest.fail("criterion %d: %s" % (k, detail))
+
+
+def _require(k, name, sizes):
+    """Run the registry check `name` at each size; fail criterion k on a witness."""
+    for n in sizes:
+        witness = checks.run(name, n)
+        if witness is not None:
+            _fail(k, "%s at n=%d: %s" % (name, n, witness))
+
+
+def _within_budget(k, t0, budget_s):
+    elapsed = time.monotonic() - t0
+    if elapsed >= budget_s:
+        _fail(k, "took %.2fs, budget %ds" % (elapsed, budget_s))
 
 
 # (reflection length, depth, length) for every element of the two
@@ -236,20 +228,14 @@ def test_c01_statistic_triples_of_the_small_groups():
         if got != expected:
             _report(1, False, "word %r gave %s, expected %s" % (word, got, expected))
             pytest.fail("triple mismatch at dihedral word %r" % word)
-    elapsed = time.monotonic() - t0
-    assert elapsed < 1.0, "took %.2fs, budget 1s" % elapsed
+    _within_budget(1, t0, 1)
     _report(1, True, "42 elements")
 
 
 def test_c02_depth_distribution_rows():
     t0 = time.monotonic()
-    for n in range(1, 9):
-        row = depth_distribution("A", n).counts
-        if row != KNOWN_DEPTH_ROWS_A[n]:
-            _report(2, False, "n=%d" % n)
-            pytest.fail("depth row n=%d: %s != %s" % (n, row, KNOWN_DEPTH_ROWS_A[n]))
-    elapsed = time.monotonic() - t0
-    assert elapsed < 30.0, "took %.2fs, budget 30s" % elapsed
+    _require(2, "depth-table-row", range(1, 9))
+    _within_budget(2, t0, 30)
     _report(2, True, "n=1..8")
 
 
@@ -268,12 +254,12 @@ def test_c03_signed_depth_distribution_rows():
 
     t0 = time.monotonic()
     computed = {n: depth_distribution("B", n).counts for n in range(1, 6)}
-    elapsed = time.monotonic() - t0
-    assert elapsed < 60.0, "took %.2fs, budget 60s" % elapsed
+    _within_budget(3, t0, 60)
 
     maxima = {n: len(row) - 1 for n, row in computed.items()}
     print("observed signed-group depth maxima:", maxima)
-    assert maxima == {n: (n + 1) * n // 2 for n in range(1, 6)}
+    if maxima != {n: (n + 1) * n // 2 for n in range(1, 6)}:
+        _fail(3, "depth maxima %s, expected n(n+1)/2" % maxima)
 
     witness = _first_difference(computed, REFERENCE_SIGNED_DEPTH_ROWS)
     if witness is not None:
@@ -289,138 +275,57 @@ def test_c03_signed_depth_distribution_rows():
 
 
 def test_c04_depth_three_ways():
-    for n in range(1, 8):
-        b = build_backend("A", n)
-        depths = depth_oracle(b)
-        for w in b.elements:
-            formula = depth(w)
-            oracle = depths[b.rank(w)]
-            greedy = shallow_decomp(w).total_weight
-            if not formula == oracle == greedy:
-                _report(4, False, "%s" % (w,))
-                pytest.fail(
-                    "disagreement at %s: formula %d, oracle %d, greedy %d"
-                    % (w, formula, oracle, greedy)
-                )
+    _require(4, "depth-three-ways", range(1, 8))
     _report(4, True, "n=1..7")
 
 
 def test_c05_greedy_certificates():
-    for n in range(1, 9):
-        for w in windows(n):
-            f = shallow_decomp(w)
-            report = verify_factorization(w, f)
-            if not report.ok:
-                _report(5, False, "%s" % (w,))
-                pytest.fail("certificate failed at %s: %s" % (w, report))
+    _require(5, "shallow-certificates", range(1, 9))
     _report(5, True, "n=1..8")
 
 
 def test_c06_equidistribution_and_bijection():
-    for n in range(1, 9):
-        a = joint_distribution(n, ("drop", "des"))
-        b = joint_distribution(n, ("dep", "exc"))
-        if a.coeffs != b.coeffs:
-            _report(6, False, "joint tables differ at n=%d" % n)
-            pytest.fail("joint tables differ at n=%d" % n)
-    for n in range(1, 9):
-        seen = set()
-        for w in windows(n):
-            v = steingrimsson_phi(w)
-            if v in seen:
-                _report(6, False, "collision at n=%d" % n)
-                pytest.fail("phi collision at %s" % (w,))
-            seen.add(v)
-            if len(descents(w)) != len(excedances(v)) or drop(w) != depth(v):
-                _report(6, False, "transport broke at %s" % (w,))
-                pytest.fail(
-                    "phi transport broke at %s -> %s: des %d exc %d drop %d dep %d"
-                    % (w, v, len(descents(w)), len(excedances(v)), drop(w), depth(v))
-                )
-        assert len(seen) == math.factorial(n)
+    _require(6, "joint-tables-equal", range(1, 9))
+    _require(6, "phi-bijective", range(1, 9))
+    _require(6, "phi-transports-stats", range(1, 9))
     _report(6, True, "n=1..8")
 
 
 def test_c07_pattern_class_counts():
     # count_class checks every exhaustive count against its closed form
-    # and raises on disagreement
-    assert count_class(8, "fc") == 1430
-    assert count_class(8, "boolean") == 610
-    for n in range(1, 9):
-        count_class(n, "fc")
-        count_class(n, "boolean")
-        count_class(n, "free")
-    for n in range(1, 8):
-        for k in range(1, n * (n - 1) // 2 + 1):
-            count_class(n, "boolean_by_length", k)
+    # and raises on disagreement; the checks report that as their witness
+    _require(7, "class-counts-match-closed-forms", range(1, 9))
+    _require(7, "boolean-length-refined-counts", range(1, 8))
+    for cls, expected in (("fc", 1430), ("boolean", 610)):
+        got = count_class(8, cls)
+        if got != expected:
+            _fail(7, "%s at n=8: counted %d, expected %d" % (cls, got, expected))
     _report(7, True, "classes n=1..8, refined n=1..7")
 
 
 def test_c08_extremal_depth():
-    for n in range(1, 9):
-        row = depth_distribution("A", n).counts
-        top = len(row) - 1
-        if top != max_depth_bound(n) or row[top] != max_depth_count(n):
-            _report(8, False, "n=%d" % n)
-            pytest.fail(
-                "extremes off at n=%d: top %d count %d, expected %d and %d"
-                % (n, top, row[top], max_depth_bound(n), max_depth_count(n))
-            )
+    _require(8, "max-depth-extremes", range(1, 9))
     _report(8, True, "n=1..8")
 
 
 def test_c09_dihedral_closed_form():
-    for m in range(2, 13):
-        b = build_backend("I2", m)
-        depths = depth_oracle(b)
-        for x in b.elements:
-            if depths[b.rank(x)] != dihedral_depth_formula(b, x):
-                _report(9, False, "m=%d" % m)
-                pytest.fail("formula != oracle at m=%d, element %s" % (m, x))
-        if dihedral_gf(m) != joint_length_depth(b, depths):
-            _report(9, False, "polynomial m=%d" % m)
-            pytest.fail("generating polynomial mismatch at m=%d" % m)
+    # the check covers m = 2..12 whatever size it is given
+    _require(9, "dihedral-formula-match", [8])
     _report(9, True, "m=2..12")
 
 
 def test_c10_minimal_factorizations_simple_iff_free():
     t0 = time.monotonic()
-    for n in range(1, 7):
-        b = build_backend("A", n)
-        simple_idx = {b.reflections.index(s) for s in b.simples}
-        for w in b.elements:
-            if length(w) != reflection_length(w):
-                continue
-            seqs = enumerate_min_factorizations(b, w)
-            all_simple = all(i in simple_idx for seq in seqs for i in seq)
-            if all_simple != is_free(w):
-                _report(10, False, "%s" % (w,))
-                pytest.fail(
-                    "equivalence failed at %s: all-simple %s, free %s"
-                    % (w, all_simple, is_free(w))
-                )
+    _require(10, "min-factorizations-free-iff-simple", range(1, 7))
     # the displayed witness: 231 factors as s1.s2 and as t13.s1
     b3 = build_backend("A", 3)
     seqs = enumerate_min_factorizations(b3, parse("231"))
     assert (0, 2) in seqs and (1, 0) in seqs, seqs
     assert seqs == [(0, 2), (1, 0), (2, 1)]
-    elapsed = time.monotonic() - t0
-    assert elapsed < 60.0, "took %.2fs, budget 60s" % elapsed
+    _within_budget(10, t0, 60)
     _report(10, True, "n=1..6 with witness")
 
 
 def test_c11_depth_delta_after_transposition():
-    for n in range(1, 7):
-        for w in windows(n):
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    if w[i - 1] >= w[j - 1]:
-                        continue
-                    direct = depth(apply_transposition_right(w, i, j))
-                    if depth_after_transposition(w, i, j) != direct:
-                        _report(11, False, "%s t(%d,%d)" % (w, i, j))
-                        pytest.fail(
-                            "delta wrong at %s, (%d,%d): got %d, direct %d"
-                            % (w, i, j, depth_after_transposition(w, i, j), direct)
-                        )
+    _require(11, "depth-delta-formula", range(1, 7))
     _report(11, True, "n=1..6")

@@ -146,6 +146,13 @@ def test_table_class(capsys):
     assert out == "5\n"
 
 
+def test_table_class_refuses_k_it_does_not_take(capsys):
+    code, out, err = run(capsys, "table", "class", "--cls", "fc", "--n", "3", "--k", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: class fc takes no parameter k\n"
+
+
 def test_table_missing_arguments(capsys):
     code, out, err = run(capsys, "table", "depth", "--group", "I2")
     assert code == 2
@@ -177,13 +184,14 @@ def test_verify_reports_failing_closed_form(capsys, monkeypatch):
     def disagree(*args):
         raise AssertionError("closed form disagrees")
 
-    monkeypatch.setattr("coxdepth.cli.count_class", disagree)
+    monkeypatch.setattr("coxdepth.checks.count_class", disagree)
     code, out, err = run(capsys, "verify", "--n", "3", "--suite", "patterns")
     assert code == 1
     lines = out.splitlines()
-    assert "FAIL class-counts-match-closed-forms" in lines
-    assert "FAIL boolean-length-refined-counts" in lines
     assert "PASS fc-is-depth-eq-length" in lines
+    for name in ("class-counts-match-closed-forms", "boolean-length-refined-counts"):
+        at = lines.index("FAIL " + name)
+        assert lines[at + 1] == "  closed form disagrees"
     assert err == ""
 
 
@@ -215,6 +223,9 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "stat", "3413")
     assert code == 2
     assert err == "error: repeated value 3\n"
+    code, _, err = run(capsys, "stat", "\u00b21")
+    assert code == 2
+    assert err == "error: malformed token '\u00b2'\n"
 
 
 def test_usage_error_raises_system_exit():

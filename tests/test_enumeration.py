@@ -135,6 +135,9 @@ def test_count_class_validates():
         count_class(4, "depth_eq")
     with pytest.raises(ValueError):
         count_class(4, "boolean_by_length")
+    for cls in ("fc", "boolean", "free"):
+        with pytest.raises(ValueError, match="class %s takes no parameter k" % cls):
+            count_class(3, cls, 5)
 
 
 def test_export_plain():

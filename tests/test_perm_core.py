@@ -38,8 +38,11 @@ def test_parse_empty():
 
 
 def test_parse_malformed_token():
-    with pytest.raises(ParseError, match="malformed token"):
-        parse("1 2 x")
+    # non-ASCII digits count as malformed: Arabic-Indic two, fullwidth
+    # two, superscript two
+    for text in ("1 2 x", "\u0662\u0661", "1\uff12", "\u00b21"):
+        with pytest.raises(ParseError, match="malformed token"):
+            parse(text)
 
 
 def test_parse_repeated_value():
