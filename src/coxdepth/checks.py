@@ -4,17 +4,17 @@ CHECKS lists every check as a row (name, suite, cap, check), in the
 order `verify` prints them. check(k) sweeps the group or groups of size
 k and returns None when the property holds, or a one-line witness that
 names the element (or the size) and the values that disagree. Witness
-text is built only when a check fails.
+text is built only when a check fails, from the values compared. The
+statistics of S_k's windows are read from `enumeration.columns(k)`.
 
 run(name, n) calls a check at min(n, cap); a cap of None runs it at n.
-The caps are a time budget for `verify --n 8`. The capped checks nest
-work inside the sweep over S_n: every transposition of every window,
-the refined counts at every length, a Cayley-graph backend and its
-oracles. Together they take about 1.4 s at their caps and about 14 s
-at n = 8 (Python 3.11.7, 2 vCPUs), which would more than double the
-run. The factorization search itself refuses S_n above n = 6. The two
-dihedral checks ignore n: they cover I2(2)..I2(12), and I2(4) against
-B2, at every size."""
+Six checks keep a cap, measured at n = 8 (Python 3.11.7, 2 vCPUs):
+depth-delta-formula stays at 6, as the 564,480 transpositions of S_8
+take 1.6 s; the four A-backend oracle checks stay at 7, as A8 adds
+about 1.9 s and 6 MB of peak memory (+26%) to the run; and
+min-factorizations-free-iff-simple stays at 6, as the factorization
+search refuses S_n above n = 6. The two dihedral checks ignore n: they
+cover I2(2)..I2(12), and I2(4) against B2, at every size."""
 
 from collections import Counter
 from functools import lru_cache
@@ -23,17 +23,7 @@ from math import comb, factorial
 
 from .perm_core import apply_transposition_right, compose, identity, inverse, parse
 from .perm_core import format as format_window
-from .stats import (
-    depth,
-    depth_after_transposition,
-    descents,
-    drop,
-    excedances,
-    length,
-    max_depth_bound,
-    max_depth_count,
-    reflection_length,
-)
+from .stats import depth, depth_after_transposition, descents, drop, excedances, max_depth_bound, max_depth_count
 from .decomp import selection_factorization, shallow_decomp, sorting_index, verify_factorization
 from .groups import (
     build_backend,
@@ -44,12 +34,17 @@ from .groups import (
 )
 from .oracle import depth_oracle, enumerate_min_factorizations, reflection_length_oracle
 from .bijections import dyck_of_perm, lr_maxima, minimal_fiber_rep, steingrimsson_phi, steingrimsson_phi_inverse
-from .patterns import cycles_are_intervals, is_boolean, is_fc, is_free, support
-from .enumeration import KNOWN_DEPTH_ROWS_A, count_class, depth_distribution, joint_distribution
+from .patterns import cycles_are_intervals, support
+from .enumeration import KNOWN_DEPTH_ROWS_A, columns, count_class, depth_distribution, joint_distribution
 
 
 def _windows(k):
     return permutations(range(1, k + 1))
+
+
+def _rows(k, *names):
+    # each window of S_k with its entries in the named columns
+    return zip(_windows(k), *(getattr(columns(k), name) for name in names))
 
 
 @lru_cache(maxsize=1)
@@ -58,9 +53,8 @@ def _backend(kind, size):
     return build_backend(kind, size)
 
 
-def _triple(w):
-    return "%s: rlength %d, depth %d, length %d" % (
-        format_window(w), reflection_length(w), depth(w), length(w))
+def _triple(w, rl, d, ln):
+    return "%s: rlength %d, depth %d, length %d" % (format_window(w), rl, d, ln)
 
 
 # ------------------------------------------------------------------ core
@@ -84,18 +78,17 @@ def _compose_inverse_identity(k):
 
 
 def _bounds_chain(k):
-    for w in _windows(k):
-        if not reflection_length(w) <= depth(w) <= length(w):
-            return _triple(w)
+    for w, rl, d, ln in _rows(k, "rlength", "depth", "length"):
+        if not rl <= d <= ln:
+            return _triple(w, rl, d, ln)
     return None
 
 
 def _depth_rlength_collapse(k):
     # depth hits its lower bound exactly when length does
-    for w in _windows(k):
-        rl = reflection_length(w)
-        if (depth(w) == rl) != (length(w) == rl):
-            return _triple(w)
+    for w, rl, d, ln in _rows(k, "rlength", "depth", "length"):
+        if (d == rl) != (ln == rl):
+            return _triple(w, rl, d, ln)
     return None
 
 
@@ -145,23 +138,26 @@ def _shallow_certificates(k):
 
 
 def _selection_dominates(k):
-    for w in _windows(k):
-        if sorting_index(w) < depth(w) or len(selection_factorization(w).factors) != reflection_length(w):
+    for w, d, rl in _rows(k, "depth", "rlength"):
+        index, factors = sorting_index(w), len(selection_factorization(w).factors)
+        if index < d or factors != rl:
             return "%s: sorting index %d, depth %d, %d selection factors, rlength %d" % (
-                format_window(w), sorting_index(w), depth(w),
-                len(selection_factorization(w).factors), reflection_length(w))
+                format_window(w), index, d, factors, rl)
     return None
 
 
 def _depth_delta_formula(k):
-    for w in _windows(k):
+    # each w with w(i) < w(j) is v t_ij for exactly one v with v(i) > v(j),
+    # so the direct depth of w t_ij = v is v's column entry
+    for v, direct in _rows(k, "depth"):
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
-                if w[i - 1] < w[j - 1]:
-                    direct = depth(apply_transposition_right(w, i, j))
-                    if depth_after_transposition(w, i, j) != direct:
+                if v[i - 1] > v[j - 1]:
+                    w = apply_transposition_right(v, i, j)
+                    formula = depth_after_transposition(w, i, j)
+                    if formula != direct:
                         return "%s t(%d,%d): delta formula %d, direct %d" % (
-                            format_window(w), i, j, depth_after_transposition(w, i, j), direct)
+                            format_window(w), i, j, formula, direct)
     return None
 
 
@@ -207,24 +203,22 @@ def _joint_tables_equal(k):
 
 
 def _fiber_unique_minimal(k):
-    fibers = {}
-    for w in _windows(k):
-        fibers.setdefault(dyck_of_perm(w), []).append(w)
-    for path, fiber in fibers.items():
-        rep = minimal_fiber_rep(path)
-        for w in fiber:
-            if (depth(w) == length(w)) != (w == rep):
-                return "%s: depth %d, length %d, its fiber's minimal element %s" % (
-                    format_window(w), depth(w), length(w), format_window(rep))
+    reps = {}
+    for w, d, ln in _rows(k, "depth", "length"):
+        path = dyck_of_perm(w)
+        if path not in reps:
+            reps[path] = minimal_fiber_rep(path)
+        if (d == ln) != (w == reps[path]):
+            return "%s: depth %d, length %d, its fiber's minimal element %s" % (
+                format_window(w), d, ln, format_window(reps[path]))
     return None
 
 
 def _lr_maxima_lower_bound(k):
-    for w in _windows(k):
+    for w, d, ln in _rows(k, "depth", "length"):
         base = sum(x - i for i, x in lr_maxima(w))
-        if not base <= depth(w) <= length(w):
-            return "%s: left-to-right maxima bound %d, depth %d, length %d" % (
-                format_window(w), base, depth(w), length(w))
+        if not base <= d <= ln:
+            return "%s: left-to-right maxima bound %d, depth %d, length %d" % (format_window(w), base, d, ln)
     return None
 
 
@@ -240,29 +234,26 @@ def _dyck_path_count(k):
 
 def _depth_three_ways(k):
     b = _backend("A", k)
-    depths = depth_oracle(b)
-    for w in b.elements:
-        if not depth(w) == depths[b.rank(w)] == shallow_decomp(w).total_weight:
-            return "%s: formula %d, oracle %d, greedy %d" % (
-                format_window(w), depth(w), depths[b.rank(w)], shallow_decomp(w).total_weight)
+    for w, d, oracle in zip(b.elements, columns(k).depth, depth_oracle(b)):
+        greedy = shallow_decomp(w).total_weight
+        if not d == oracle == greedy:
+            return "%s: formula %d, oracle %d, greedy %d" % (format_window(w), d, oracle, greedy)
     return None
 
 
 def _rlength_two_ways(k):
     b = _backend("A", k)
-    table = reflection_length_oracle(b)
-    for w in b.elements:
-        if table[b.rank(w)] != reflection_length(w):
-            return "%s: oracle %d, cycle count %d" % (
-                format_window(w), table[b.rank(w)], reflection_length(w))
+    for w, oracle, rl in zip(b.elements, reflection_length_oracle(b), columns(k).rlength):
+        if oracle != rl:
+            return "%s: oracle %d, cycle count %d" % (format_window(w), oracle, rl)
     return None
 
 
 def _backend_length_is_inversions(k):
     b = _backend("A", k)
-    for w in b.elements:
-        if b.length(w) != length(w):
-            return "%s: backend length %d, inversions %d" % (format_window(w), b.length(w), length(w))
+    for w, backend_length, ln in zip(b.elements, b.lengths, columns(k).length):
+        if backend_length != ln:
+            return "%s: backend length %d, inversions %d" % (format_window(w), backend_length, ln)
     return None
 
 
@@ -309,31 +300,31 @@ def _dihedral_formula_match(k):
 def _min_factorizations_free_iff_simple(k):
     b = _backend("A", k)
     simple_idx = {b.reflections.index(s) for s in b.simples}
-    for w in b.elements:
-        if length(w) != reflection_length(w):
+    c = columns(k)
+    for w, ln, rl, free in zip(b.elements, c.length, c.rlength, c.free):
+        if ln != rl:
             continue
         seqs = enumerate_min_factorizations(b, w)
         all_simple = all(idx in simple_idx for seq in seqs for idx in seq)
-        if all_simple != is_free(w):
+        if all_simple != free:
             return "%s: minimal factorizations all simple %s, free %s" % (
-                format_window(w), all_simple, is_free(w))
+                format_window(w), all_simple, bool(free))
     return None
 
 
 # -------------------------------------------------------------- patterns
 
 def _fc_is_depth_eq_length(k):
-    for w in _windows(k):
-        if is_fc(w) != (depth(w) == length(w)):
-            return "%s: fc %s, depth %d, length %d" % (format_window(w), is_fc(w), depth(w), length(w))
+    for w, fc, d, ln in _rows(k, "fc", "depth", "length"):
+        if fc != (d == ln):
+            return "%s: fc %s, depth %d, length %d" % (format_window(w), bool(fc), d, ln)
     return None
 
 
 def _boolean_is_length_eq_rlength(k):
-    for w in _windows(k):
-        if is_boolean(w) != (length(w) == reflection_length(w)):
-            return "%s: boolean %s, length %d, rlength %d" % (
-                format_window(w), is_boolean(w), length(w), reflection_length(w))
+    for w, boolean, ln, rl in _rows(k, "boolean", "length", "rlength"):
+        if boolean != (ln == rl):
+            return "%s: boolean %s, length %d, rlength %d" % (format_window(w), bool(boolean), ln, rl)
     return None
 
 
@@ -351,10 +342,10 @@ def _class_counts_match_closed_forms(k):
 
 
 def _boolean_support_length(k):
-    for w in _windows(k):
-        if is_boolean(w) != (length(w) == len(support(w))):
-            return "%s: boolean %s, length %d, support %s" % (
-                format_window(w), is_boolean(w), length(w), sorted(support(w)))
+    for w, boolean, ln in _rows(k, "boolean", "length"):
+        s = support(w)
+        if boolean != (ln == len(s)):
+            return "%s: boolean %s, length %d, support %s" % (format_window(w), bool(boolean), ln, sorted(s))
     return None
 
 
@@ -368,40 +359,40 @@ def _boolean_length_refined_counts(k):
 
 
 def _boolean_cycles_are_intervals(k):
-    for w in _windows(k):
-        if is_boolean(w) and not cycles_are_intervals(w):
+    for w, boolean in _rows(k, "boolean"):
+        if boolean and not cycles_are_intervals(w):
             return "%s is boolean but has a cycle that is not an interval" % format_window(w)
     return None
 
 
 def _free_support_gaps(k):
-    for w in _windows(k):
-        if is_free(w):
+    for w, free, boolean in _rows(k, "free", "boolean"):
+        if free:
             s = support(w)
-            if not is_boolean(w) or any(i + 1 in s for i in s):
-                return "%s is free, boolean %s, support %s" % (format_window(w), is_boolean(w), sorted(s))
+            if not boolean or any(i + 1 in s for i in s):
+                return "%s is free, boolean %s, support %s" % (format_window(w), bool(boolean), sorted(s))
     return None
 
 
 CHECKS = (
-    ("parse-format-round-trip", "core", 6, _parse_format_round_trip),
-    ("compose-inverse-identity", "core", 6, _compose_inverse_identity),
+    ("parse-format-round-trip", "core", None, _parse_format_round_trip),
+    ("compose-inverse-identity", "core", None, _compose_inverse_identity),
     ("bounds-chain", "core", None, _bounds_chain),
     ("depth-rlength-collapse", "core", None, _depth_rlength_collapse),
-    ("depth-of-inverse", "core", 7, _depth_of_inverse),
-    ("excedance-cover-bound", "core", 7, _excedance_cover_bound),
+    ("depth-of-inverse", "core", None, _depth_of_inverse),
+    ("excedance-cover-bound", "core", None, _excedance_cover_bound),
     ("max-depth-extremes", "core", None, _max_depth_extremes),
     ("depth-table-row", "core", None, _depth_table_row),
     ("shallow-certificates", "core", None, _shallow_certificates),
-    ("selection-dominates", "core", 7, _selection_dominates),
+    ("selection-dominates", "core", None, _selection_dominates),
     ("depth-delta-formula", "core", 6, _depth_delta_formula),
     ("phi-bijective", "bijection", None, _phi_bijective),
     ("phi-transports-stats", "bijection", None, _phi_transports_stats),
     ("phi-round-trip", "bijection", None, _phi_round_trip),
     ("joint-tables-equal", "bijection", None, _joint_tables_equal),
-    ("fiber-unique-minimal", "bijection", 7, _fiber_unique_minimal),
-    ("lr-maxima-lower-bound", "bijection", 7, _lr_maxima_lower_bound),
-    ("dyck-path-count", "bijection", 7, _dyck_path_count),
+    ("fiber-unique-minimal", "bijection", None, _fiber_unique_minimal),
+    ("lr-maxima-lower-bound", "bijection", None, _lr_maxima_lower_bound),
+    ("dyck-path-count", "bijection", None, _dyck_path_count),
     ("depth-three-ways", "oracle", 7, _depth_three_ways),
     ("rlength-two-ways", "oracle", 7, _rlength_two_ways),
     ("backend-length-is-inversions", "oracle", 7, _backend_length_is_inversions),
@@ -412,10 +403,10 @@ CHECKS = (
     ("fc-is-depth-eq-length", "patterns", None, _fc_is_depth_eq_length),
     ("boolean-is-length-eq-rlength", "patterns", None, _boolean_is_length_eq_rlength),
     ("class-counts-match-closed-forms", "patterns", None, _class_counts_match_closed_forms),
-    ("boolean-support-length", "patterns", 7, _boolean_support_length),
-    ("boolean-length-refined-counts", "patterns", 7, _boolean_length_refined_counts),
-    ("boolean-cycles-are-intervals", "patterns", 7, _boolean_cycles_are_intervals),
-    ("free-support-gaps", "patterns", 7, _free_support_gaps),
+    ("boolean-support-length", "patterns", None, _boolean_support_length),
+    ("boolean-length-refined-counts", "patterns", None, _boolean_length_refined_counts),
+    ("boolean-cycles-are-intervals", "patterns", None, _boolean_cycles_are_intervals),
+    ("free-support-gaps", "patterns", None, _free_support_gaps),
 )
 
 SUITES = tuple(dict.fromkeys(suite for _, suite, _, _ in CHECKS))

@@ -1,21 +1,22 @@
 """Exact distribution tables over whole groups.
 
-Everything here is exhaustive: depth tables fold the statistic over
-every element of a group, joint tables fold a bivariate statistic over
-a full symmetric group, and class counts filter all of S_n while
-asserting the closed forms they are known to satisfy.
+Everything here is exhaustive. columns(n) sweeps S_n once, cached per
+n; the type-A depth table, the joint tables, the class counts (which
+assert their closed forms) and the property checks fold its columns.
+Depth tables of the other families fold over every group element.
 """
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import compress, permutations
 from math import comb
 
 from .groups import build_backend, check_size, dihedral_depth_formula
 from .oracle import depth_oracle
 from .patterns import is_boolean, is_fc, is_free
-from .stats import depth, descents, drop, excedances, length
+from .stats import depth, descents, drop, excedances, length, reflection_length
 
 # Counts of windows in S_n by depth (OEIS entry A062869), used by the
 # verification suites as an independent reference.
@@ -30,6 +31,26 @@ KNOWN_DEPTH_ROWS_A = {
     8: (1, 7, 33, 115, 327, 765, 1523, 2553, 3696, 4852, 5708, 5892,
         5452, 4212, 2844, 1764, 576),
 }
+
+
+# Per-window statistics of S_n, one byte per window in lexicographic
+# order, which is also the rank order of build_backend("A", n). des and
+# exc count descents and excedances; fc, boolean and free are 1 or 0,
+# from the pattern scans.
+Columns = namedtuple("Columns", "length rlength depth des drop exc fc boolean free")
+
+
+@lru_cache(maxsize=None)
+def columns(n):
+    """The Columns of S_n, from one sweep over its n! windows."""
+    check_size("A", n, "the columns of S_n")
+    cols = [bytearray() for _ in Columns._fields]
+    for w in permutations(range(1, n + 1)):
+        row = (length(w), reflection_length(w), depth(w), len(descents(w)), drop(w),
+               len(excedances(w)), is_fc(w), is_boolean(w), is_free(w))
+        for col, value in zip(cols, row):
+            col.append(value)
+    return Columns(*map(bytes, cols))
 
 
 @dataclass(frozen=True)
@@ -64,14 +85,14 @@ class JointTable:
 def depth_distribution(kind, n):
     """Counts of group elements by depth.
 
-    kind "A" streams windows and the excedance-sum formula (n up to 8),
+    kind "A" folds the depth column of S_n (n up to 8),
     kind "B" runs the weighted shortest-path oracle over signed windows
     (n up to 5), kind "I2" applies the dihedral closed form (m = n up
     to 12).
     """
     check_size(kind, n, "a kind %s depth table" % kind)
     if kind == "A":
-        counts = Counter(depth(w) for w in permutations(range(1, n + 1)))
+        counts = Counter(columns(n).depth)
     elif kind == "B":
         counts = Counter(depth_oracle(build_backend("B", n)))
     else:
@@ -88,15 +109,13 @@ def joint_distribution(n, pair):
     """
     check_size("A", n, "a joint table")
     pair = tuple(pair)
+    c = columns(n)
     if pair == ("drop", "des"):
-        def key(w):
-            return (drop(w), len(descents(w)))
+        counts = Counter(zip(c.drop, c.des))
     elif pair == ("dep", "exc"):
-        def key(w):
-            return (depth(w), len(excedances(w)))
+        counts = Counter(zip(c.depth, c.exc))
     else:
         raise ValueError("pair must be ('drop', 'des') or ('dep', 'exc'), got %r" % (pair,))
-    counts = Counter(key(w) for w in permutations(range(1, n + 1)))
     return JointTable(n, pair, tuple(sorted(counts.items())))
 
 
@@ -129,27 +148,27 @@ def count_class(n, cls, k=None):
     check_size("A", n, "a class count")
     if k is not None and cls in ("fc", "boolean", "free"):
         raise ValueError("class %s takes no parameter k" % cls)
-    windows = permutations(range(1, n + 1))
+    c = columns(n)
     expected = None
     if cls == "fc":
-        count = sum(1 for w in windows if is_fc(w))
+        count = sum(c.fc)
         expected = comb(2 * n, n) // (n + 1)
     elif cls == "boolean":
-        count = sum(1 for w in windows if is_boolean(w))
+        count = sum(c.boolean)
         expected = _fibonacci(2 * n - 1)
     elif cls == "free":
-        count = sum(1 for w in windows if is_free(w))
+        count = sum(c.free)
         expected = _fibonacci(n + 1)
     elif cls == "depth_eq":
         if k is None:
             raise ValueError("class depth_eq needs the parameter k")
-        count = sum(1 for w in windows if depth(w) == k)
+        count = Counter(c.depth)[k]
         if k == 2 and n >= 3:
             expected = (n + 3) * (n - 2) // 2
     elif cls == "boolean_by_length":
         if k is None:
             raise ValueError("class boolean_by_length needs the parameter k")
-        count = sum(1 for w in windows if length(w) == k and is_boolean(w))
+        count = Counter(compress(c.length, c.boolean))[k]
         if k >= 1:
             expected = sum(_choose(n - i, k + 1 - i) * _choose(k - 1, i - 1) for i in range(1, k + 1))
     else:

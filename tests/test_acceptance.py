@@ -295,12 +295,12 @@ def test_c07_pattern_class_counts():
     # count_class checks every exhaustive count against its closed form
     # and raises on disagreement; the checks report that as their witness
     _require(7, "class-counts-match-closed-forms", range(1, 9))
-    _require(7, "boolean-length-refined-counts", range(1, 8))
+    _require(7, "boolean-length-refined-counts", range(1, 9))
     for cls, expected in (("fc", 1430), ("boolean", 610)):
         got = count_class(8, cls)
         if got != expected:
             _fail(7, "%s at n=8: counted %d, expected %d" % (cls, got, expected))
-    _report(7, True, "classes n=1..8, refined n=1..7")
+    _report(7, True, "classes n=1..8, refined n=1..8")
 
 
 def test_c08_extremal_depth():

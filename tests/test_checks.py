@@ -1,27 +1,62 @@
-"""The check registry: it catches a planted fault, and it keeps the names
-and order that the benchmark's verify gate compares line by line."""
+"""The check registry: it catches planted faults in the statistics and in
+the pattern scans, it keeps the names and order that the benchmark's
+verify gate compares line by line, and its caps stay the measured six."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from coxdepth import checks
+from coxdepth import checks, enumeration
+from coxdepth.patterns import is_fc
 from coxdepth.stats import depth
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture
+def fresh_columns():
+    # a column built under a planted fault must not outlive its test
+    enumeration.columns.cache_clear()
+    yield
+    enumeration.columns.cache_clear()
 
 
 @pytest.mark.parametrize(
     "name",
     ["bounds-chain", "depth-of-inverse", "fc-is-depth-eq-length", "lr-maxima-lower-bound"],
 )
-def test_planted_depth_fault_is_named(monkeypatch, name):
+def test_planted_depth_fault_is_named(monkeypatch, fresh_columns, name):
     # depth one too high at 231 only: 2 -> 3, past its length 2 and
-    # unequal to the depth 2 of its inverse 312
-    monkeypatch.setattr(checks, "depth", lambda w: depth(w) + (w == (2, 3, 1)))
+    # unequal to the depth 2 of its inverse 312; planted both in the
+    # column sweep and where a check still calls depth itself
+    def faulty(w):
+        return depth(w) + (w == (2, 3, 1))
+
+    monkeypatch.setattr(enumeration, "depth", faulty)
+    monkeypatch.setattr(checks, "depth", faulty)
     witness = checks.run(name, 3)
     assert witness is not None and "231" in witness
+
+
+@pytest.mark.parametrize("name", ["fc-is-depth-eq-length", "class-counts-match-closed-forms"])
+def test_planted_pattern_scan_fault_is_named(monkeypatch, fresh_columns, name):
+    # the fc flag wrong at 321 only: a flag read off depth == length
+    # instead of the pattern scan would hide this
+    monkeypatch.setattr(enumeration, "is_fc", lambda w: is_fc(w) != (w == (3, 2, 1)))
+    assert checks.run(name, 3) is not None
+
+
+def test_caps_are_the_measured_six():
+    caps = {name: cap for name, _, cap, _ in checks.CHECKS if cap is not None}
+    assert caps == {
+        "depth-delta-formula": 6,
+        "depth-three-ways": 7,
+        "rlength-two-ways": 7,
+        "backend-length-is-inversions": 7,
+        "reflections-are-transpositions": 7,
+        "min-factorizations-free-iff-simple": 6,
+    }
 
 
 def test_registry_matches_the_benchmark_gate():

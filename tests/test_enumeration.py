@@ -5,9 +5,12 @@ from itertools import permutations
 
 import pytest
 
-from coxdepth.stats import depth, excedances
+from coxdepth.groups import build_backend
+from coxdepth.patterns import is_boolean, is_fc, is_free
+from coxdepth.stats import depth, descents, drop, excedances, length, reflection_length
 from coxdepth.enumeration import (
     KNOWN_DEPTH_ROWS_A,
+    columns,
     count_class,
     depth_distribution,
     export_table,
@@ -22,6 +25,32 @@ REFERENCE_B_DEPTH_ROWS = {
     4: (1, 4, 13, 29, 55, 66, 90, 53, 60, 12, 1),
     5: (1, 5, 19, 52, 120, 219, 340, 457, 594, 556, 505, 466, 325, 164, 16, 1),
 }
+
+
+DIRECT_STATISTICS = {
+    "length": length,
+    "rlength": reflection_length,
+    "depth": depth,
+    "des": lambda w: len(descents(w)),
+    "drop": drop,
+    "exc": lambda w: len(excedances(w)),
+    "fc": is_fc,
+    "boolean": is_boolean,
+    "free": is_free,
+}
+
+
+def test_columns_match_the_direct_statistics():
+    for n in range(1, 7):
+        c = columns(n)
+        # the oracle checks zip the columns against the backend's elements
+        elements = build_backend("A", n).elements
+        assert elements == list(permutations(range(1, n + 1)))
+        for name, stat in DIRECT_STATISTICS.items():
+            column = getattr(c, name)
+            assert isinstance(column, bytes)
+            assert list(column) == [stat(w) for w in elements], (n, name)
+        assert columns(n) is c
 
 
 def test_depth_rows_a_match_reference():
@@ -111,6 +140,13 @@ def test_count_class_depth_eq():
         assert count_class(n, "depth_eq", 2) == (n + 3) * (n - 2) // 2
     assert count_class(4, "depth_eq", 0) == 1
     assert count_class(4, "depth_eq", 1) == 3
+
+
+def test_count_class_parameter_out_of_range():
+    for k in (-1, 300):
+        assert count_class(4, "depth_eq", k) == 0
+        assert count_class(4, "boolean_by_length", k) == 0
+    assert count_class(4, "boolean_by_length", 0) == 1
 
 
 def test_count_class_boolean_by_length():
