@@ -23,7 +23,7 @@ from math import comb, factorial
 
 from .perm_core import apply_transposition_right, compose, identity, inverse, parse
 from .perm_core import format as format_window
-from .stats import depth, depth_after_transposition, descents, drop, excedances, max_depth_bound, max_depth_count
+from .stats import depth, depth_after_transposition, excedances, max_depth_bound, max_depth_count
 from .decomp import selection_factorization, shallow_decomp, sorting_index, verify_factorization
 from .groups import (
     build_backend,
@@ -176,11 +176,12 @@ def _phi_bijective(k):
 
 
 def _phi_transports_stats(k):
-    for w in _windows(k):
+    for w, des, dr in _rows(k, "des", "drop"):
         v = steingrimsson_phi(w)
-        if len(descents(w)) != len(excedances(v)) or drop(w) != depth(v):
+        exc, dp = len(excedances(v)), depth(v)
+        if des != exc or dr != dp:
             return "phi(%s) = %s: des %d, exc %d, drop %d, depth %d" % (
-                format_window(w), format_window(v), len(descents(w)), len(excedances(v)), drop(w), depth(v))
+                format_window(w), format_window(v), des, exc, dr, dp)
     return None
 
 

@@ -1,25 +1,26 @@
-"""Transposition factorizations built by sorting procedures.
+"""Transposition factorizations read off one sorting walk.
 
-Two procedures drive a window to the identity by transpositions and
-read a factorization off the steps.
+Straight selection sort drives a window to the identity: each step
+takes the largest out-of-place value m, at position j = w^-1(m), and
+swaps positions j and m. The walk is computed once and read two ways.
 
-Straight selection sort repeatedly swaps the largest out-of-place value
-into its home position. Its total transposition cost is the sorting
-index, an upper bound for depth; its step count always equals the
-reflection length.
+Read as right factors t_jm, the steps are the selection sort
+factorization. Its total transposition cost is the sorting index, an
+upper bound for depth; its step count always equals the reflection
+length.
 
-The shallow decomposition peels the largest unfinished value m off by
-comparing a = w(m) with j = w^-1(m): when a < j it swaps positions j
-and m and records a right factor t_jm, otherwise it swaps values a and
-m and records a left factor t_am. The factors assemble into blocks u
-and v with w = u * v, the factor count equals reflection_length(w), and
-the total cost sum(j - i) equals depth(w), so the factorization is
-optimal in both senses at once.
+The shallow decomposition reads each step by comparing a = w(m) with
+j: when a < j it records the right factor t_jm, otherwise the left
+factor t_am, since swapping positions j and m is the same as swapping
+the values a and m. The factors assemble into blocks u and v with
+w = u * v, the factor count equals reflection_length(w), and the total
+cost sum(j - i) equals depth(w), so the factorization is optimal in
+both senses at once.
 """
 
 from dataclasses import dataclass
 
-from .perm_core import apply_transposition_right, compose, identity
+from .perm_core import apply_transposition_right, identity
 from .stats import depth, reflection_length
 
 
@@ -59,19 +60,26 @@ class TraceStep:
 @dataclass(frozen=True)
 class SortTrace:
     steps: tuple
-    final: tuple  # always the identity window
+    final: tuple  # the window the sort ended on, always the identity
 
 
-def _selection_steps(w):
+def _sort_walk(w):
+    # the steps (window, j, m) of straight selection sort and the window
+    # it ends on; each step swaps positions j = w^-1(m) and m
     steps = []
     cur = w
     for m in range(len(w), 1, -1):
-        if cur[m - 1] == m:
-            continue
-        i = cur.index(m) + 1
-        steps.append((cur, (i, m)))
-        cur = apply_transposition_right(cur, i, m)
+        if cur[m - 1] != m:
+            j = cur.index(m) + 1
+            steps.append((cur, j, m))
+            cur = apply_transposition_right(cur, j, m)
     return steps, cur
+
+
+def _shallow_reading(win, j, m):
+    # the transposition and side the shallow decomposition records
+    a = win[m - 1]
+    return ((j, m), "R") if a < j else ((a, m), "L")
 
 
 def selection_sort_trace(w):
@@ -80,14 +88,14 @@ def selection_sort_trace(w):
     Every step swaps the largest out-of-place value into its home
     position, acting on positions (right multiplication).
     """
-    steps, final = _selection_steps(w)
-    return SortTrace(tuple(TraceStep(win, t, "R") for win, t in steps), final)
+    steps, final = _sort_walk(w)
+    return SortTrace(tuple(TraceStep(win, (j, m), "R") for win, j, m in steps), final)
 
 
 def sorting_index(w):
     """Total cost sum(j - i) of the selection sort transpositions."""
-    steps, _ = _selection_steps(w)
-    return sum(j - i for _, (i, j) in steps)
+    steps, _ = _sort_walk(w)
+    return sum(m - j for _, j, m in steps)
 
 
 def selection_factorization(w):
@@ -96,29 +104,9 @@ def selection_factorization(w):
     The sort computes w * t_1 * ... * t_k = e, so w = t_k * ... * t_1:
     the factors are the steps in reverse. All of them are tagged "u".
     """
-    steps, _ = _selection_steps(w)
-    factors = tuple(t for _, t in reversed(steps))
-    return Factorization(factors, ("u",) * len(factors), tuple(j - i for i, j in factors))
-
-
-def _shallow_steps(w):
-    steps = []
-    cur = w
-    for m in range(len(w), 1, -1):
-        if cur[m - 1] == m:
-            continue
-        a = cur[m - 1]
-        j = cur.index(m) + 1
-        # sides agree on the window update: swapping positions j and m
-        # is the same as swapping the values a and m here
-        if a < j:
-            side, factor = "R", (j, m)
-        else:
-            side, factor = "L", (a, m)
-        nxt = apply_transposition_right(cur, j, m)
-        steps.append((side, factor, cur))
-        cur = nxt
-    return steps, cur
+    steps, _ = _sort_walk(w)
+    factors = tuple((j, m) for _, j, m in reversed(steps))
+    return Factorization(factors, ("u",) * len(factors), tuple(m - j for j, m in factors))
 
 
 def shallow_decomp(w):
@@ -128,19 +116,22 @@ def shallow_decomp(w):
     reverse, so factors reads in product order. The factor count equals
     reflection_length(w) and the total weight equals depth(w).
     """
-    steps, _ = _shallow_steps(w)
-    u = [f for side, f, _ in steps if side == "L"]
-    v = [f for side, f, _ in steps if side == "R"]
-    v.reverse()
+    read = [_shallow_reading(*step) for step in _sort_walk(w)[0]]
+    u = [f for f, side in read if side == "L"]
+    v = [f for f, side in read if side == "R"][::-1]
     factors = tuple(u + v)
     tags = ("u",) * len(u) + ("v",) * len(v)
     return Factorization(factors, tags, tuple(j - i for i, j in factors))
 
 
 def shallow_trace(w):
-    """The shallow decomposition as a step-by-step trace."""
-    steps, final = _shallow_steps(w)
-    return SortTrace(tuple(TraceStep(win, f, side) for side, f, win in steps), final)
+    """The shallow decomposition as a step-by-step trace.
+
+    The steps and windows are those of selection_sort_trace(w); only
+    the recorded transposition and side differ, "L" (a, m) or "R" (j, m).
+    """
+    steps, final = _sort_walk(w)
+    return SortTrace(tuple(TraceStep(win, *_shallow_reading(win, j, m)) for win, j, m in steps), final)
 
 
 @dataclass(frozen=True)
@@ -162,10 +153,9 @@ def verify_factorization(w, factorization):
     weight_ok: every stored weight is the cost j - i of its factor and
     the weights sum to depth(w).
     """
-    n = len(w)
-    prod = identity(n)
+    prod = identity(len(w))
     for i, j in factorization.factors:
-        prod = compose(prod, apply_transposition_right(identity(n), i, j))
+        prod = apply_transposition_right(prod, i, j)
     count_ok = len(factorization.factors) == reflection_length(w)
     weights = factorization.depth_weights
     weight_ok = (

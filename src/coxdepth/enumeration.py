@@ -46,8 +46,10 @@ def columns(n):
     check_size("A", n, "the columns of S_n")
     cols = [bytearray() for _ in Columns._fields]
     for w in permutations(range(1, n + 1)):
+        # boolean and free windows avoid 321, so only fc windows need their scans
+        fc = is_fc(w)
         row = (length(w), reflection_length(w), depth(w), len(descents(w)), drop(w),
-               len(excedances(w)), is_fc(w), is_boolean(w), is_free(w))
+               len(excedances(w)), fc, fc and is_boolean(w), fc and is_free(w))
         for col, value in zip(cols, row):
             col.append(value)
     return Columns(*map(bytes, cols))

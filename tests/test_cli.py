@@ -1,10 +1,14 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from coxdepth.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -84,6 +88,18 @@ def test_decompose_shallow_trace_sides(capsys):
     lines = out.splitlines()
     assert lines[2] == "3715246 --(6 7)L--> 3615247"
     assert lines[4] == "3415267 --(4 5)R--> 3412567"
+
+
+def test_decompose_trace_at_n_12_is_space_separated(capsys):
+    code, out, _ = run(capsys, "decompose", "2 12 4 1 3 11 5 10 6 9 7 8", "--trace")
+    assert code == 0
+    trace = out.splitlines()[2:]
+    assert len(trace) == 11
+    assert trace[0] == "2 12 4 1 3 11 5 10 6 9 7 8 --(8 12)L--> 2 8 4 1 3 11 5 10 6 9 7 12"
+    assert trace[-1].endswith("--> 1 2 3 4 5 6 7 8 9 10 11 12")
+    for line in trace:
+        before, _, rest = line.partition(" --(")
+        assert len(before.split()) == len(rest.partition("--> ")[2].split()) == 12
 
 
 def test_decompose_json(capsys):
@@ -240,3 +256,37 @@ def test_console_entry_matches_main():
     from coxdepth.cli import main_entry
 
     assert callable(main_entry)
+
+
+def readme_examples():
+    # each "$ coxdepth ..." line in a README code block, with the lines
+    # printed under it up to the next command or the end of the block
+    examples, in_block, current = [], False, None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block, current = not in_block, None
+        elif in_block and line.startswith("$ coxdepth "):
+            current = (line[len("$ "):], [])
+            examples.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def test_readme_examples_cover_every_subcommand():
+    assert {command.split()[1] for command, _ in EXAMPLES} == {"stat", "decompose", "table", "verify", "dihedral"}
+
+
+@pytest.mark.parametrize("command, expected", EXAMPLES, ids=[command for command, _ in EXAMPLES])
+def test_readme_example(capsys, command, expected):
+    # a "..." line matches whatever the command prints from there on
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert code == 0 and err == ""
+    printed = out.splitlines()
+    if "..." in expected:
+        cut = expected.index("...")
+        printed, expected = printed[:cut], expected[:cut]
+    assert printed == expected

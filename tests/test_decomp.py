@@ -1,5 +1,8 @@
-"""Greedy factorizations, sorting traces, and certificate checking."""
+"""Greedy factorizations, sorting traces, and certificate checking.
 
+Exhaustive over S_1..S_6, plus seeded windows at n = 10..200."""
+
+import random
 from itertools import permutations
 
 import pytest
@@ -19,6 +22,33 @@ from coxdepth.decomp import (
 
 def windows(n):
     return permutations(range(1, n + 1))
+
+
+def seeded_window(seed):
+    # n runs from 10 to 200 over seeds 0..49; odd seeds shuffle
+    # uniformly, even seeds swap three random pairs of the identity
+    rng = random.Random(seed)
+    n = 10 + seed * 190 // 49
+    w = list(range(1, n + 1))
+    if seed % 2:
+        rng.shuffle(w)
+    else:
+        for _ in range(3):
+            i, j = rng.sample(range(n), 2)
+            w[i], w[j] = w[j], w[i]
+    return tuple(w)
+
+
+LARGE = [seeded_window(seed) for seed in range(50)]
+
+
+def same_walk(w):
+    # both traces visit the windows of one selection sort walk
+    sel, sh = selection_sort_trace(w), shallow_trace(w)
+    return (
+        [s.window for s in sel.steps] == [s.window for s in sh.steps]
+        and sel.final == sh.final == identity(len(w))
+    )
 
 
 def test_shallow_golden_3715246():
@@ -173,3 +203,42 @@ def test_factorization_weight_rule():
             f = shallow_decomp(w)
             for (i, j), dw in zip(f.factors, f.depth_weights):
                 assert dw == j - i
+
+
+def test_traces_walk_the_same_windows():
+    for n in range(1, 7):
+        for w in windows(n):
+            assert same_walk(w), w
+
+
+@pytest.mark.parametrize("factors", [
+    ((0, 2),),
+    ((2, 4),),
+    ((2, 2),),
+    ((3, 1),),
+    ((1, 2), (2, 2)),
+])
+def test_verify_refuses_factors_outside_the_window(factors):
+    f = Factorization(factors, ("u",) * len(factors), tuple(j - i for i, j in factors))
+    with pytest.raises(ValueError, match="need 1 <= i < j <= n"):
+        verify_factorization(parse("321"), f)
+
+
+def test_large_n_shallow_certificates_verify():
+    for w in LARGE:
+        assert verify_factorization(w, shallow_decomp(w)).ok, w
+
+
+def test_large_n_traces_walk_the_same_windows():
+    for w in LARGE:
+        assert same_walk(w), w
+
+
+def test_large_n_sorting_index_dominates_depth():
+    for w in LARGE:
+        assert sorting_index(w) == selection_factorization(w).total_weight >= depth(w), w
+
+
+def test_large_n_selection_step_count_is_reflection_length():
+    for w in LARGE:
+        assert len(selection_factorization(w).factors) == reflection_length(w), w
