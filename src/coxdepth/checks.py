@@ -7,6 +7,11 @@ names the element (or the size) and the values that disagree. Witness
 text is built only when a check fails, from the values compared. The
 statistics of S_k's windows are read from `enumeration.columns(k)`.
 
+No other module compares a computed result against an independent
+derivation, and the class counts' closed forms live only here. The
+registry loops over class_count_witness and dihedral_witness, which
+`coxdepth table class` and `coxdepth dihedral` also ask.
+
 run(name, n) calls a check at min(n, cap); a cap of None runs it at n.
 Six checks keep a cap, measured at n = 8 (Python 3.11.7, 2 vCPUs):
 depth-delta-formula stays at 6, as the 564,480 transpositions of S_8
@@ -55,6 +60,67 @@ def _backend(kind, size):
 
 def _triple(w, rl, d, ln):
     return "%s: rlength %d, depth %d, length %d" % (format_window(w), rl, d, ln)
+
+
+def _first(witnesses):
+    # the first witness a sequence of checks yields, or None
+    return next((w for w in witnesses if w is not None), None)
+
+
+# ---------------------------------------------------------- closed forms
+
+def _catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def _fibonacci(i):
+    # convention F_1 = F_2 = 1
+    a, b = 1, 1
+    for _ in range(i - 1):
+        a, b = b, a + b
+    return a
+
+
+def _class_formula(n, cls, k):
+    # Catalan, F_{2n-1}, F_{n+1}, (n+3)(n-2)/2 and a binomial double sum;
+    # None where no closed form is known
+    if cls == "fc":
+        return _catalan(n)
+    if cls == "boolean":
+        return _fibonacci(2 * n - 1)
+    if cls == "free":
+        return _fibonacci(n + 1)
+    if cls == "depth_eq":
+        return (n + 3) * (n - 2) // 2 if k == 2 and n >= 3 else None
+    if k >= 1:  # boolean_by_length
+        return sum(comb(n - i, k + 1 - i) * comb(k - 1, i - 1) for i in range(1, min(k, n) + 1))
+    return None
+
+
+def class_count_witness(n, cls, k=None):
+    """A witness when count_class(n, cls, k) differs from its closed form, else None.
+
+    Bad arguments raise ValueError, as in count_class.
+    """
+    count = count_class(n, cls, k)
+    formula = _class_formula(n, cls, k)
+    if formula is None or count == formula:
+        return None
+    return "closed form disagrees for %s (n=%d%s): counted %d, formula %d" % (
+        cls, n, "" if k is None else ", k=%d" % k, count, formula)
+
+
+def dihedral_witness(m):
+    """A witness when the oracle disagrees with I2(m)'s depth formula or polynomial, else None."""
+    b = build_backend("I2", m)
+    depths = depth_oracle(b)
+    for x, oracle in zip(b.elements, depths):
+        formula = dihedral_depth_formula(b, x)
+        if oracle != formula:
+            return "I2(%d) element %s: oracle %d, formula %d" % (m, x, oracle, formula)
+    if dihedral_gf(m) != joint_length_depth(b, depths):
+        return "I2(%d): the closed-form polynomial differs from the oracle's" % m
+    return None
 
 
 # ------------------------------------------------------------------ core
@@ -225,7 +291,7 @@ def _lr_maxima_lower_bound(k):
 
 def _dyck_path_count(k):
     found = len({dyck_of_perm(w) for w in _windows(k)})
-    catalan = comb(2 * k, k) // (k + 1)
+    catalan = _catalan(k)
     if found != catalan:
         return "S_%d reaches %d Dyck paths, Catalan number %d" % (k, found, catalan)
     return None
@@ -286,16 +352,7 @@ def _signed_dihedral_cross_check(k):
 
 
 def _dihedral_formula_match(k):
-    for m in range(2, 13):
-        b = build_backend("I2", m)
-        depths = depth_oracle(b)
-        for x in b.elements:
-            if depths[b.rank(x)] != dihedral_depth_formula(b, x):
-                return "I2(%d) element %s: oracle %d, formula %d" % (
-                    m, x, depths[b.rank(x)], dihedral_depth_formula(b, x))
-        if dihedral_gf(m) != joint_length_depth(b, depths):
-            return "I2(%d): the closed-form polynomial differs from the oracle's" % m
-    return None
+    return _first(map(dihedral_witness, range(2, 13)))
 
 
 def _min_factorizations_free_iff_simple(k):
@@ -330,16 +387,8 @@ def _boolean_is_length_eq_rlength(k):
 
 
 def _class_counts_match_closed_forms(k):
-    # count_class raises AssertionError when a closed form disagrees
-    try:
-        count_class(k, "fc")
-        count_class(k, "boolean")
-        count_class(k, "free")
-        if k >= 3:
-            count_class(k, "depth_eq", 2)
-    except AssertionError as exc:
-        return str(exc)
-    return None
+    classes = (("fc", None), ("boolean", None), ("free", None), ("depth_eq", 2))
+    return _first(class_count_witness(k, cls, param) for cls, param in classes)
 
 
 def _boolean_support_length(k):
@@ -351,12 +400,8 @@ def _boolean_support_length(k):
 
 
 def _boolean_length_refined_counts(k):
-    try:
-        for ell in range(1, k * (k - 1) // 2 + 1):
-            count_class(k, "boolean_by_length", ell)
-    except AssertionError as exc:
-        return str(exc)
-    return None
+    lengths = range(1, k * (k - 1) // 2 + 1)
+    return _first(class_count_witness(k, "boolean_by_length", ell) for ell in lengths)
 
 
 def _boolean_cycles_are_intervals(k):

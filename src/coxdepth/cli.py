@@ -10,6 +10,10 @@ Subcommands:
                    naming the element and the values that disagree
   dihedral         the joint length/depth polynomial of a dihedral group
 
+The commands compare nothing themselves. `table joint`, `table class`
+and `dihedral` first ask coxdepth.checks for a witness; on one they
+print `error: <witness>` on stderr, nothing on stdout, and exit 1.
+
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error.
 Output is deterministic: the same invocation prints the same bytes.
 """
@@ -20,12 +24,9 @@ import sys
 
 from . import checks, perm_core
 from .perm_core import ParseError, parse
-from .stats import depth, descents, drop, excedances, length, reflection_length
 from .decomp import selection_factorization, selection_sort_trace, shallow_decomp, shallow_trace
-from .groups import build_backend, check_size, dihedral_depth_formula, dihedral_gf, joint_length_depth
-from .oracle import depth_oracle
-from .patterns import is_boolean, is_fc, is_free
-from .enumeration import count_class, depth_distribution, export_table, joint_distribution
+from .groups import check_size, dihedral_gf
+from .enumeration import Columns, count_class, depth_distribution, export_table, joint_distribution, stat_row
 
 
 def main(argv=None):
@@ -39,6 +40,11 @@ def main(argv=None):
 
 def main_entry():
     sys.exit(main())
+
+
+def _refuse(witness):
+    print("error: " + witness, file=sys.stderr)
+    return 1
 
 
 def _build_parser():
@@ -84,27 +90,13 @@ def _build_parser():
 
 # ------------------------------------------------------------------ stat
 
-def _flag(v):
-    return "true" if v else "false"
-
-
 def _cmd_stat(args):
-    w = parse(args.perm)
-    pairs = (
-        ("length", length(w)),
-        ("rlength", reflection_length(w)),
-        ("depth", depth(w)),
-        ("drop", drop(w)),
-        ("des", len(descents(w))),
-        ("exc", len(excedances(w))),
-        ("fc", is_fc(w)),
-        ("boolean", is_boolean(w)),
-        ("free", is_free(w)),
-    )
+    pairs = tuple(zip(Columns._fields, stat_row(parse(args.perm))))
     if args.format == "json":
         print(json.dumps(dict(pairs), sort_keys=True))
     else:
-        print(" ".join("%s=%s" % (k, _flag(v) if isinstance(v, bool) else v) for k, v in pairs))
+        # JSON spells the counts as digits and the class flags as true/false
+        print(" ".join("%s=%s" % (k, json.dumps(v)) for k, v in pairs))
     return 0
 
 
@@ -180,17 +172,18 @@ def _cmd_table(args):
     if args.which == "joint":
         if args.n is None:
             raise ValueError("joint tables need --n")
-        by_drop = joint_distribution(args.n, ("drop", "des"))
-        by_depth = joint_distribution(args.n, ("dep", "exc"))
-        if by_drop.coeffs != by_depth.coeffs:
-            print("error: drop/des and dep/exc tables disagree at n=%d" % args.n, file=sys.stderr)
-            return 1
-        print(export_table(by_depth, args.format))
+        witness = checks.run("joint-tables-equal", args.n)
+        if witness is not None:
+            return _refuse(witness)
+        print(export_table(joint_distribution(args.n, ("dep", "exc")), args.format))
         return 0
     if args.cls is None:
         raise ValueError("class tables need --cls")
     if args.n is None:
         raise ValueError("class tables need --n")
+    witness = checks.class_count_witness(args.n, args.cls, args.k)
+    if witness is not None:
+        return _refuse(witness)
     print(count_class(args.n, args.cls, args.k))
     return 0
 
@@ -212,16 +205,10 @@ def _poly_text(gf):
 
 
 def _cmd_dihedral(args):
-    backend = build_backend("I2", args.m)
-    closed = dihedral_gf(args.m)
-    from_formula = joint_length_depth(
-        backend, [dihedral_depth_formula(backend, x) for x in backend.elements]
-    )
-    from_oracle = joint_length_depth(backend, depth_oracle(backend))
-    print(_poly_text(closed))
-    if closed != from_formula or closed != from_oracle:
-        print("error: dihedral polynomial mismatch at m=%d" % args.m, file=sys.stderr)
-        return 1
+    witness = checks.dihedral_witness(args.m)
+    if witness is not None:
+        return _refuse(witness)
+    print(_poly_text(dihedral_gf(args.m)))
     return 0
 
 

@@ -1,9 +1,9 @@
 """Exact distribution tables over whole groups.
 
 Everything here is exhaustive. columns(n) sweeps S_n once, cached per
-n; the type-A depth table, the joint tables, the class counts (which
-assert their closed forms) and the property checks fold its columns.
-Depth tables of the other families fold over every group element.
+n; the type-A depth table, the joint tables, the class counts and the
+property checks fold its columns. Depth tables of the other families
+fold over every group element. coxdepth.checks compares the results.
 """
 
 import json
@@ -11,7 +11,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
-from math import comb
 
 from .groups import build_backend, check_size, dihedral_depth_formula
 from .oracle import depth_oracle
@@ -36,8 +35,16 @@ KNOWN_DEPTH_ROWS_A = {
 # Per-window statistics of S_n, one byte per window in lexicographic
 # order, which is also the rank order of build_backend("A", n). des and
 # exc count descents and excedances; fc, boolean and free are 1 or 0,
-# from the pattern scans.
-Columns = namedtuple("Columns", "length rlength depth des drop exc fc boolean free")
+# from the pattern scans. `coxdepth stat` prints them in this order.
+Columns = namedtuple("Columns", "length rlength depth drop des exc fc boolean free")
+
+
+def stat_row(w):
+    """The statistics of window w in Columns order, the class flags as bools."""
+    # boolean and free windows avoid 321, so only fc windows need their scans
+    fc = is_fc(w)
+    return (length(w), reflection_length(w), depth(w), drop(w), len(descents(w)),
+            len(excedances(w)), fc, fc and is_boolean(w), fc and is_free(w))
 
 
 @lru_cache(maxsize=None)
@@ -46,11 +53,7 @@ def columns(n):
     check_size("A", n, "the columns of S_n")
     cols = [bytearray() for _ in Columns._fields]
     for w in permutations(range(1, n + 1)):
-        # boolean and free windows avoid 321, so only fc windows need their scans
-        fc = is_fc(w)
-        row = (length(w), reflection_length(w), depth(w), len(descents(w)), drop(w),
-               len(excedances(w)), fc, fc and is_boolean(w), fc and is_free(w))
-        for col, value in zip(cols, row):
+        for col, value in zip(cols, stat_row(w)):
             col.append(value)
     return Columns(*map(bytes, cols))
 
@@ -121,66 +124,27 @@ def joint_distribution(n, pair):
     return JointTable(n, pair, tuple(sorted(counts.items())))
 
 
-def _fibonacci(i):
-    # convention F_1 = F_2 = 1
-    a, b = 1, 1
-    for _ in range(i - 1):
-        a, b = b, a + b
-    return a
-
-
-def _choose(a, b):
-    # combinatorial convention: zero outside 0 <= b <= a
-    if b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
 def count_class(n, cls, k=None):
-    """Count a class of windows in S_n exhaustively, checking closed forms.
+    """Count a class of windows in S_n by folding its columns.
 
     cls is one of "fc", "boolean", "free", "depth_eq" or
     "boolean_by_length"; the last two need the extra parameter k, and
-    the first three raise ValueError when given one. Known closed forms
-    (Catalan for fc, Fibonacci F_{2n-1} for boolean, F_{n+1} for free,
-    (n+3)(n-2)/2 for depth_eq(2) with n >= 3, a binomial double sum for
-    boolean_by_length) are evaluated alongside the count and any
-    disagreement raises.
+    the first three raise ValueError when given one. The closed forms
+    these counts obey live in coxdepth.checks.
     """
     check_size("A", n, "a class count")
     if k is not None and cls in ("fc", "boolean", "free"):
         raise ValueError("class %s takes no parameter k" % cls)
     c = columns(n)
-    expected = None
-    if cls == "fc":
-        count = sum(c.fc)
-        expected = comb(2 * n, n) // (n + 1)
-    elif cls == "boolean":
-        count = sum(c.boolean)
-        expected = _fibonacci(2 * n - 1)
-    elif cls == "free":
-        count = sum(c.free)
-        expected = _fibonacci(n + 1)
-    elif cls == "depth_eq":
-        if k is None:
-            raise ValueError("class depth_eq needs the parameter k")
-        count = Counter(c.depth)[k]
-        if k == 2 and n >= 3:
-            expected = (n + 3) * (n - 2) // 2
-    elif cls == "boolean_by_length":
-        if k is None:
-            raise ValueError("class boolean_by_length needs the parameter k")
-        count = Counter(compress(c.length, c.boolean))[k]
-        if k >= 1:
-            expected = sum(_choose(n - i, k + 1 - i) * _choose(k - 1, i - 1) for i in range(1, k + 1))
-    else:
+    if cls in ("fc", "boolean", "free"):
+        return sum(getattr(c, cls))
+    if cls not in ("depth_eq", "boolean_by_length"):
         raise ValueError("unknown class %r" % (cls,))
-    if expected is not None and count != expected:
-        raise AssertionError(
-            "closed form disagrees for %s (n=%d%s): counted %d, formula %d"
-            % (cls, n, "" if k is None else ", k=%d" % k, count, expected)
-        )
-    return count
+    if k is None:
+        raise ValueError("class %s needs the parameter k" % cls)
+    if cls == "depth_eq":
+        return Counter(c.depth)[k]
+    return Counter(compress(c.length, c.boolean))[k]
 
 
 def export_table(table, fmt):

@@ -61,7 +61,7 @@ class GroupBackend:
         self._index = {x: r for r, x in enumerate(elements)}
         self._typecode = "H" if len(elements) <= 1 << 16 else "I"
         self._tables = {}
-        self._conjugates = _conjugation_closure(simples, multiply, inv)
+        self._conjugates = _conjugation_closure(simples, multiply)
         self.lengths = self.distances([(s, 1) for s in simples])
         self.reflections = tuple(sorted(simples + tuple(self._conjugates), key=reflection_key))
         self._reflection_ranks = frozenset(self.rank(t) for t in self.reflections)
@@ -240,16 +240,16 @@ def _build_i2(m):
 
 # ------------------------------------------------------------- shared
 
-def _conjugation_closure(simples, multiply, inv):
+def _conjugation_closure(simples, multiply):
     # {g: (s, u)} for every reflection g outside simples, with s simple,
-    # u found earlier and g = s u s^-1 (= s u s, simples being involutions)
+    # u found earlier and g = s u s^-1 = s u s, simples being involutions
     found = {}
     frontier = list(simples)
     while frontier:
         nxt = []
         for u in frontier:
             for s in simples:
-                g = multiply(multiply(s, u), inv(s))
+                g = multiply(multiply(s, u), s)
                 if g not in found and g not in simples:
                     found[g] = (s, u)
                     nxt.append(g)
@@ -308,15 +308,13 @@ def dihedral_gf(m):
     gf = {(0, 0): 1, (1, 1): 2}
     if m % 2 == 0:
         gf[(m, m // 2 + 1)] = 1
-        for i in range(1, m // 2):
-            gf[(2 * i, i + 1)] = gf.get((2 * i, i + 1), 0) + 2
-            gf[(2 * i + 1, i + 1)] = gf.get((2 * i + 1, i + 1), 0) + 2
     else:
-        gf[(m - 1, (m + 1) // 2)] = gf.get((m - 1, (m + 1) // 2), 0) + 2
+        gf[(m - 1, (m + 1) // 2)] = 2
         gf[(m, (m + 1) // 2)] = 1
-        for i in range(1, (m - 1) // 2):
-            gf[(2 * i, i + 1)] = gf.get((2 * i, i + 1), 0) + 2
-            gf[(2 * i + 1, i + 1)] = gf.get((2 * i + 1, i + 1), 0) + 2
+    # the sum runs over i = 1..m // 2 - 1 for both parities; no key repeats
+    for i in range(1, m // 2):
+        gf[(2 * i, i + 1)] = 2
+        gf[(2 * i + 1, i + 1)] = 2
     return gf
 
 

@@ -1,5 +1,17 @@
 import sys
 
+import pytest
+
+from coxdepth import enumeration
+
+
+@pytest.fixture
+def fresh_columns():
+    # a column built under a planted fault must not outlive its test
+    enumeration.columns.cache_clear()
+    yield
+    enumeration.columns.cache_clear()
+
 
 def pytest_terminal_summary(terminalreporter):
     results = []

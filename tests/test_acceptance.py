@@ -292,8 +292,8 @@ def test_c06_equidistribution_and_bijection():
 
 
 def test_c07_pattern_class_counts():
-    # count_class checks every exhaustive count against its closed form
-    # and raises on disagreement; the checks report that as their witness
+    # the checks compare each exhaustive count_class value against its
+    # closed form and name the first disagreement as their witness
     _require(7, "class-counts-match-closed-forms", range(1, 9))
     _require(7, "boolean-length-refined-counts", range(1, 9))
     for cls, expected in (("fc", 1430), ("boolean", 610)):

@@ -14,14 +14,6 @@ from coxdepth.stats import depth
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-@pytest.fixture
-def fresh_columns():
-    # a column built under a planted fault must not outlive its test
-    enumeration.columns.cache_clear()
-    yield
-    enumeration.columns.cache_clear()
-
-
 @pytest.mark.parametrize(
     "name",
     ["bounds-chain", "depth-of-inverse", "fc-is-depth-eq-length", "lr-maxima-lower-bound"],
@@ -45,6 +37,11 @@ def test_planted_pattern_scan_fault_is_named(monkeypatch, fresh_columns, name):
     # instead of the pattern scan would hide this
     monkeypatch.setattr(enumeration, "is_fc", lambda w: is_fc(w) != (w == (3, 2, 1)))
     assert checks.run(name, 3) is not None
+
+
+def test_refined_closed_form_at_a_huge_length():
+    # the binomial sum stops at i = n, so k = 10^9 costs four terms
+    assert checks.class_count_witness(4, "boolean_by_length", 10**9) is None
 
 
 def test_caps_are_the_measured_six():

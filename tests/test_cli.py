@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from coxdepth import checks, enumeration
 from coxdepth.cli import main
+from coxdepth.enumeration import count_class
+from coxdepth.patterns import is_fc
+from coxdepth.stats import drop
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -197,18 +201,44 @@ def test_verify_suite_selection(capsys):
 
 
 def test_verify_reports_failing_closed_form(capsys, monkeypatch):
-    def disagree(*args):
-        raise AssertionError("closed form disagrees")
-
-    monkeypatch.setattr("coxdepth.checks.count_class", disagree)
+    # every class count one too high: both closed-form checks name it
+    monkeypatch.setattr(checks, "count_class", lambda *args: count_class(*args) + 1)
     code, out, err = run(capsys, "verify", "--n", "3", "--suite", "patterns")
     assert code == 1
     lines = out.splitlines()
     assert "PASS fc-is-depth-eq-length" in lines
     for name in ("class-counts-match-closed-forms", "boolean-length-refined-counts"):
         at = lines.index("FAIL " + name)
-        assert lines[at + 1] == "  closed form disagrees"
+        assert lines[at + 1].startswith("  closed form disagrees for")
     assert err == ""
+
+
+# A planted fault makes table joint, table class and dihedral refuse to
+# print: exit code 1, nothing on stdout, one error line with the witness.
+
+def test_table_joint_refuses_on_a_witness(capsys, monkeypatch, fresh_columns):
+    # drop one too high at 231 only, inside the column sweep
+    monkeypatch.setattr(enumeration, "drop", lambda w: drop(w) + (w == (2, 3, 1)))
+    code, out, err = run(capsys, "table", "joint", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: S_3, q^2 t^1: drop/des 1, dep/exc 2\n"
+
+
+def test_table_class_refuses_on_a_witness(capsys, monkeypatch, fresh_columns):
+    # the fc scan wrong at 321 only, so S_3 counts 6 fc windows
+    monkeypatch.setattr(enumeration, "is_fc", lambda w: is_fc(w) != (w == (3, 2, 1)))
+    code, out, err = run(capsys, "table", "class", "--cls", "fc", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: closed form disagrees for fc (n=3): counted 6, formula 5\n"
+
+
+def test_dihedral_refuses_on_a_witness(capsys, monkeypatch):
+    # the depth formula one too high at the flip (3, 1) only
+    formula = checks.dihedral_depth_formula
+    monkeypatch.setattr(checks, "dihedral_depth_formula", lambda b, x: formula(b, x) + (x == (3, 1)))
+    code, out, err = run(capsys, "dihedral", "--m", "6")
+    assert (code, out) == (1, "")
+    assert err == "error: I2(6) element (3, 1): oracle 3, formula 4\n"
 
 
 def test_verify_rejects_big_n(capsys):
