@@ -1,10 +1,22 @@
-"""Pattern containment and the depth-related permutation classes."""
+"""Pattern containment and the depth-related permutation classes.
 
+The dedicated avoidance scans behind is_fc, is_boolean and is_free are
+checked against the general contains_pattern exhaustively over
+S_0..S_7, and on seeded windows at n = 16..64 with planted occurrences."""
+
+import random
 from itertools import permutations
+
+import pytest
 
 from coxdepth.perm_core import compose, cycle_decomposition, identity, parse
 from coxdepth.stats import depth, length, reflection_length
+from coxdepth.bijections import minimal_fiber_rep
 from coxdepth.patterns import (
+    _has_231,
+    _has_312,
+    _has_321,
+    _has_3412,
     avoids,
     contains_pattern,
     cycles_are_intervals,
@@ -12,6 +24,14 @@ from coxdepth.patterns import (
     is_fc,
     is_free,
     support,
+)
+
+
+SCANS = (
+    (_has_321, (3, 2, 1)),
+    (_has_231, (2, 3, 1)),
+    (_has_312, (3, 1, 2)),
+    (_has_3412, (3, 4, 1, 2)),
 )
 
 
@@ -73,6 +93,93 @@ def test_witness_is_order_isomorphic():
                 rel = sorted(range(len(p)), key=lambda k: picked[k])
                 pat = sorted(range(len(p)), key=lambda k: p[k])
                 assert rel == pat
+
+
+def test_scans_match_reference_exhaustively():
+    for n in range(8):
+        for w in windows(n):
+            for scan, p in SCANS:
+                assert scan(w) == (not avoids(w, p)), (w, p)
+
+
+def test_predicates_match_reference_conjunctions():
+    for n in range(8):
+        for w in windows(n):
+            no321 = avoids(w, (3, 2, 1))
+            assert is_fc(w) == no321, w
+            assert is_boolean(w) == (no321 and avoids(w, (3, 4, 1, 2))), w
+            assert is_free(w) == (
+                no321 and avoids(w, (2, 3, 1)) and avoids(w, (3, 1, 2))
+            ), w
+
+
+@pytest.mark.parametrize("bad", [(9, 9, 9), (5, 5), (0, 1), (1, 3)])
+def test_predicates_reject_non_windows(bad):
+    for predicate in (is_fc, is_boolean, is_free):
+        with pytest.raises(ValueError, match="not a permutation of 1..%d" % len(bad)):
+            predicate(bad)
+
+
+def free_window(rng, m):
+    # disjoint adjacent swaps of the identity: avoids 321, 3412, 231, 312
+    w = list(range(1, m + 1))
+    i = 0
+    while i < m - 1:
+        if rng.random() < 0.3:
+            w[i], w[i + 1] = w[i + 1], w[i]
+            i += 2
+        else:
+            i += 1
+    return tuple(w)
+
+
+def avoiding_321(rng, m):
+    # the 321-avoiding representative of a Dyck path from the cycle lemma:
+    # rotate m ups and m + 1 downs to start after the first lowest point,
+    # then drop the final down
+    if m == 0:
+        return ()
+    steps = ["N"] * m + ["E"] * (m + 1)
+    rng.shuffle(steps)
+    height = low = at = 0
+    for i, s in enumerate(steps, start=1):
+        height += 1 if s == "N" else -1
+        if height < low:
+            low, at = height, i
+    return minimal_fiber_rep("".join((steps[at:] + steps[:at])[:-1]))
+
+
+def direct_sum(*parts):
+    out, shift = [], 0
+    for part in parts:
+        out.extend(x + shift for x in part)
+        shift += len(part)
+    return tuple(out)
+
+
+def planted_windows(seed):
+    # each pattern p sits once, at consecutive positions, between flanks
+    # that avoid it: p is sum-indecomposable, so every occurrence in a
+    # direct sum lies in one summand. The left flank has 0, 1, half,
+    # all but one or all of the other entries, so p lands at both ends
+    # and in the middle. Flanks are free, or 321-avoiding around a 321.
+    rng = random.Random(seed)
+    for _, p in SCANS:
+        kinds = [free_window] + ([avoiding_321] if p == (3, 2, 1) else [])
+        for kind in kinds:
+            n = rng.randint(16, 64)
+            m = n - len(p)
+            for a in (0, 1, m // 2, m - 1, m):
+                w = direct_sum(kind(rng, a), p, kind(rng, m - a))
+                yield w, p, tuple(range(a + 1, a + len(p) + 1))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scans_find_planted_occurrences(seed):
+    for w, p, planted in planted_windows(seed):
+        assert contains_pattern(w, p) == planted, (w, p)
+        for scan, q in SCANS:
+            assert scan(w) == (contains_pattern(w, q) is not None), (w, q)
 
 
 def test_fc_matches_depth_equals_length():
