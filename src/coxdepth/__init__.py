@@ -41,9 +41,8 @@ from .groups import (
     dihedral_gf,
     joint_length_depth,
     reflection_depth,
-    reflection_label,
 )
-from .oracle import depth_oracle, enumerate_min_factorizations, reflection_length_oracle
+from .oracle import depth_oracle, factorization_counts, reflection_length_oracle
 from .bijections import (
     dyck_of_perm,
     lr_maxima,
@@ -81,9 +80,9 @@ __all__ = [
     "dihedral_gf",
     "drop",
     "dyck_of_perm",
-    "enumerate_min_factorizations",
     "excedances",
     "export_table",
+    "factorization_counts",
     "format_window",
     "identity",
     "inverse",
@@ -99,7 +98,6 @@ __all__ = [
     "minimal_fiber_rep",
     "parse",
     "reflection_depth",
-    "reflection_label",
     "reflection_length",
     "reflection_length_oracle",
     "selection_factorization",

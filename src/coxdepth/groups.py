@@ -9,12 +9,14 @@ Three families are enumerated explicitly:
 - kind "I2", size m: the dihedral group of order 2m, stored as pairs
   (r, f) meaning rotation by r followed by a flip when f = 1.
 
-A backend enumerates its group once in a fixed order; the rank of an
-element is its position in that order, looked up in a dict built once,
-and anything not in the group is refused with ValueError. The
-reflections are the closure of the simples under conjugation, and the
-closure records for each new reflection g one pair (s, u) with s simple
-and g = s u s.
+A family supplies its elements in a fixed order, its simples and its
+multiply, and nothing else: no group inverse is needed, because every
+generator the backend walks is an involution. The rank of an element is
+its position in that order, looked up in a dict built once, and
+anything not in the group is refused with ValueError. The reflections
+are the closure of the simples under conjugation, and the closure
+records for each new reflection g one pair (s, u) with s simple and
+g = s u s.
 
 The backend owns one Cayley table per generator g: an array with
 table[r] = rank(elements[r] * g), of typecode 'H' while the group order
@@ -33,10 +35,9 @@ which in the symmetric group gives t_ij the cost j - i.
 """
 
 from array import array
-from functools import cached_property
 from itertools import permutations
 
-from .perm_core import apply_transposition_right, compose, identity, inverse
+from .perm_core import apply_transposition_right, compose, identity
 
 _CAPS = {"A": (1, 8), "B": (1, 5), "I2": (2, 12)}
 
@@ -46,17 +47,16 @@ class GroupBackend:
 
     Attributes: kind ("A", "B" or "I2"), size (n, or m for "I2"),
     elements (rank order), identity, simples, reflections (canonical
-    display order), lengths (list indexed by rank). multiply and
-    inverse are supplied by the family.
+    display order), lengths (list indexed by rank). multiply is
+    supplied by the family.
     """
 
-    def __init__(self, kind, size, elements, simples, multiply, inv, reflection_key):
+    def __init__(self, kind, size, elements, simples, multiply, reflection_key):
         self.kind = kind
         self.size = size
         self.elements = elements
         self.simples = simples
         self.multiply = multiply
-        self.inverse = inv
         self.identity = elements[0]  # every family enumerates in rank order
         self._index = {x: r for r, x in enumerate(elements)}
         self._typecode = "H" if len(elements) <= 1 << 16 else "I"
@@ -124,12 +124,6 @@ class GroupBackend:
             d += 1
         return dist
 
-    @cached_property
-    def _reflection_lengths(self):
-        # computed on first use, then shared by the oracle and the
-        # factorization search
-        return self.distances([(t, 1) for t in self.reflections])
-
     def length(self, x):
         return self.lengths[self.rank(x)]
 
@@ -171,7 +165,7 @@ def _build_a(n):
     elements = list(permutations(range(1, n + 1)))
     e = identity(n)
     simples = tuple(apply_transposition_right(e, i, i + 1) for i in range(1, n))
-    return GroupBackend("A", n, elements, simples, compose, inverse, _moved_pair)
+    return GroupBackend("A", n, elements, simples, compose, _moved_pair)
 
 
 # ---------------------------------------------------------------- kind B
@@ -181,16 +175,6 @@ def compose_signed(a, b):
     if len(a) != len(b):
         raise ValueError("size mismatch: %d vs %d" % (len(a), len(b)))
     return tuple(a[x - 1] if x > 0 else -a[-x - 1] for x in b)
-
-
-def inverse_signed(a):
-    inv = [0] * len(a)
-    for i, x in enumerate(a, start=1):
-        if x > 0:
-            inv[x - 1] = i
-        else:
-            inv[-x - 1] = -i
-    return tuple(inv)
 
 
 def _signed_reflection_key(t):
@@ -209,7 +193,7 @@ def _build_b(n):
             elements.append(tuple(-x if (bits >> (n - i)) & 1 else x for i, x in enumerate(p, start=1)))
     e = identity(n)
     simples = ((-1,) + e[1:],) + tuple(apply_transposition_right(e, i, i + 1) for i in range(1, n))
-    return GroupBackend("B", n, elements, simples, compose_signed, inverse_signed, _signed_reflection_key)
+    return GroupBackend("B", n, elements, simples, compose_signed, _signed_reflection_key)
 
 
 # --------------------------------------------------------------- kind I2
@@ -220,11 +204,7 @@ def _make_dihedral_ops(m):
         r2, f2 = b
         return ((r1 - r2) % m if f1 else (r1 + r2) % m, f1 ^ f2)
 
-    def inv(a):
-        r, f = a
-        return a if f else ((-r) % m, 0)
-
-    return multiply, inv
+    return multiply
 
 
 def _dihedral_reflection_key(t):
@@ -233,9 +213,8 @@ def _dihedral_reflection_key(t):
 
 def _build_i2(m):
     elements = [(r, f) for f in (0, 1) for r in range(m)]
-    multiply, inv = _make_dihedral_ops(m)
     simples = ((0, 1), (1, 1))
-    return GroupBackend("I2", m, elements, simples, multiply, inv, _dihedral_reflection_key)
+    return GroupBackend("I2", m, elements, simples, _make_dihedral_ops(m), _dihedral_reflection_key)
 
 
 # ------------------------------------------------------------- shared
@@ -262,20 +241,6 @@ def reflection_depth(backend, t):
     if not backend.is_reflection(t):
         raise ValueError("not a reflection: %r" % (t,))
     return (backend.length(t) + 1) // 2
-
-
-def reflection_label(backend, t):
-    """Short display text for a reflection."""
-    if backend.kind == "I2":
-        return "f%d" % t[0]
-    moved = [i for i, x in enumerate(t, start=1) if x != i]
-    i = moved[0]
-    if len(moved) == 1:
-        return "(%d -%d)" % (i, i)
-    j = moved[-1]
-    if t[i - 1] > 0:
-        return "(%d %d)" % (i, j)
-    return "(%d -%d)" % (i, j)
 
 
 def dihedral_depth_formula(backend, x):

@@ -6,15 +6,15 @@ reflections reaching it, where a reflection of Coxeter length l costs
 Both are single-source shortest paths on the Cayley graph under right
 multiplication by reflections, and both run on the backend's one
 engine, GroupBackend.distances, an integer bucket queue over ranks that
-reads the backend's per-reflection Cayley tables. The backend caches
-the reflection-length table.
+reads the backend's per-reflection Cayley tables.
 
-enumerate_min_factorizations walks every reflection product of a given
-length hitting a target, pruned by the reflection-length table, and is
-deliberately capped small: its job is exhaustive verification, not
-scale. It tracks the rank of the inverse of the residue: since
-(t x)^-1 = x^-1 t for a reflection t, each step is one lookup in the
-Cayley table of t, and x and x^-1 have the same reflection length.
+factorization_counts counts the cheapest factorizations themselves. A
+cheapest factorization of w is a path from the identity along edges
+x -> x g whose cost equals the drop in distance, so one pass over the
+ranks in order of distance counts the paths into every element. With
+unit-cost simples it counts reduced words, with unit-cost reflections
+minimal reflection factorizations, and with depth costs the
+factorizations that attain the depth. It reads only the Cayley tables.
 """
 
 from .groups import reflection_depth
@@ -27,44 +27,25 @@ def depth_oracle(backend):
 
 def reflection_length_oracle(backend):
     """Reflection lengths of all elements, indexed by backend rank."""
-    return list(backend._reflection_lengths)
+    return backend.distances([(t, 1) for t in backend.reflections])
 
 
-def enumerate_min_factorizations(backend, w, budget=None):
-    """Every product of exactly `budget` reflections equal to w.
+def factorization_counts(backend, steps):
+    """Cheapest factorizations of every element, as a list indexed by rank.
 
-    Factor sequences come out as tuples of indices into
-    backend.reflections, in lexicographic order. The default budget is
-    the reflection length of w, so by default the result lists all
-    minimum-length reflection factorizations. Branches die early when
-    the residue's reflection length exceeds, or differs in parity from,
-    the remaining budget. Hard caps keep the search honest: budget at
-    most 6, and kind A windows of size at most 6.
+    steps lists (generator, cost) pairs as for GroupBackend.distances,
+    and every generator is an involution, as simples and reflections
+    are. The count of w is the number of generator sequences g_1..g_k
+    with product w whose costs sum to the distance of w. Each rank r
+    sums the counts of r g over the steps (g, c) with r g one cost c
+    closer to the identity, so a rank is done once every rank nearer
+    the identity is; ranks the steps never reach count 0.
+    O(|W| log |W| + |W| · len(steps)).
     """
-    if backend.kind == "A" and backend.size > 6:
-        raise ValueError("factorization search caps kind A at n=6, got n=%d" % backend.size)
-    rl = backend._reflection_lengths
-    r = backend.rank(w)
-    if budget is None:
-        budget = rl[r]
-    if budget > 6:
-        raise ValueError("factorization budget caps at 6, got %d" % budget)
-    tables = [backend.table(t) for t in backend.reflections]
-    out = []
-    seq = []
-
-    def extend(r_inv, left):
-        # r_inv is the rank of the residue's inverse
-        need = rl[r_inv]
-        if need > left or (left - need) % 2:
-            return
-        if left == 0:
-            out.append(tuple(seq))
-            return
-        for idx, table in enumerate(tables):
-            seq.append(idx)
-            extend(table[r_inv], left - 1)
-            seq.pop()
-
-    extend(backend.rank(backend.inverse(w)), budget)
-    return out
+    edges = [(backend.table(g), cost) for g, cost in steps]
+    dist = backend.distances(steps)
+    counts = [0] * len(dist)
+    counts[0] = 1  # the empty product is the identity
+    for d, r in sorted((d, r) for r, d in enumerate(dist) if d):
+        counts[r] = sum(counts[table[r]] for table, cost in edges if dist[table[r]] == d - cost)
+    return counts

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -11,6 +12,28 @@ def fresh_columns():
     enumeration.columns.cache_clear()
     yield
     enumeration.columns.cache_clear()
+
+
+def _seeded_window(seed):
+    # n runs from 10 to 200 over seeds 0..49; odd seeds shuffle
+    # uniformly, even seeds swap three random pairs of the identity
+    rng = random.Random(seed)
+    n = 10 + seed * 190 // 49
+    w = list(range(1, n + 1))
+    if seed % 2:
+        rng.shuffle(w)
+    else:
+        for _ in range(3):
+            i, j = rng.sample(range(n), 2)
+            w[i], w[j] = w[j], w[i]
+    return tuple(w)
+
+
+@pytest.fixture(scope="session")
+def large_windows():
+    # fifty seeded windows at n = 10..200, where the exhaustive sweeps
+    # cannot reach and format separates entries by spaces
+    return [_seeded_window(seed) for seed in range(50)]
 
 
 def pytest_terminal_summary(terminalreporter):

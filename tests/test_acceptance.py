@@ -15,7 +15,7 @@ import heapq
 import math
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -23,7 +23,7 @@ from coxdepth import checks
 from coxdepth.perm_core import parse
 from coxdepth.stats import depth, length, reflection_length
 from coxdepth.groups import build_backend
-from coxdepth.oracle import depth_oracle, enumerate_min_factorizations, reflection_length_oracle
+from coxdepth.oracle import depth_oracle, factorization_counts, reflection_length_oracle
 from coxdepth.enumeration import count_class, depth_distribution
 
 RESULTS = []
@@ -316,14 +316,19 @@ def test_c09_dihedral_closed_form():
 
 def test_c10_minimal_factorizations_simple_iff_free():
     t0 = time.monotonic()
-    _require(10, "min-factorizations-free-iff-simple", range(1, 7))
-    # the displayed witness: 231 factors as s1.s2 and as t13.s1
+    _require(10, "min-factorizations-free-iff-simple", range(1, 8))
+    # the displayed witness: 231 factors as s1.s2, t13.s1 and s2.t13,
+    # found by multiplying out every pair of reflections of S_3 in order
+    # (1 2), (1 3), (2 3); the first is its one reduced word
     b3 = build_backend("A", 3)
-    seqs = enumerate_min_factorizations(b3, parse("231"))
-    assert (0, 2) in seqs and (1, 0) in seqs, seqs
-    assert seqs == [(0, 2), (1, 0), (2, 1)]
+    w = parse("231")
+    pairs = [(i, j) for i, j in product(range(3), repeat=2)
+             if b3.multiply(b3.reflections[i], b3.reflections[j]) == w]
+    assert pairs == [(0, 2), (1, 0), (2, 1)], pairs
+    assert factorization_counts(b3, [(t, 1) for t in b3.reflections])[b3.rank(w)] == 3
+    assert factorization_counts(b3, [(s, 1) for s in b3.simples])[b3.rank(w)] == 1
     _within_budget(10, t0, 60)
-    _report(10, True, "n=1..6 with witness")
+    _report(10, True, "n=1..7 with witness")
 
 
 def test_c11_depth_delta_after_transposition():

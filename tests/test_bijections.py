@@ -153,3 +153,11 @@ def test_phi_distribution_identity():
         lhs = Counter((drop(w), len(descents(w))) for w in windows(n))
         rhs = Counter((depth(w), len(excedances(w))) for w in windows(n))
         assert lhs == rhs
+
+
+def test_large_n_phi_round_trip_and_transport(large_windows):
+    for w in large_windows:
+        v = steingrimsson_phi(w)
+        assert steingrimsson_phi_inverse(v) == w
+        assert len(descents(w)) == len(excedances(v))
+        assert drop(w) == depth(v)

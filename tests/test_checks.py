@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from coxdepth import checks, enumeration
-from coxdepth.patterns import is_fc
+from coxdepth.patterns import is_fc, is_free
 from coxdepth.stats import depth
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -39,6 +39,14 @@ def test_planted_pattern_scan_fault_is_named(monkeypatch, fresh_columns, name):
     assert checks.run(name, 3) is not None
 
 
+def test_planted_free_scan_fault_is_named(monkeypatch, fresh_columns):
+    # 231 has three minimal factorizations but one reduced word, so a
+    # free flag set there disagrees with the factorization counts
+    monkeypatch.setattr(enumeration, "is_free", lambda w: is_free(w) != (w == (2, 3, 1)))
+    witness = checks.run("min-factorizations-free-iff-simple", 3)
+    assert witness is not None and "231" in witness
+
+
 def test_refined_closed_form_at_a_huge_length():
     # the binomial sum stops at i = n, so k = 10^9 costs four terms
     assert checks.class_count_witness(4, "boolean_by_length", 10**9) is None
@@ -52,7 +60,7 @@ def test_caps_are_the_measured_six():
         "rlength-two-ways": 7,
         "backend-length-is-inversions": 7,
         "reflections-are-transpositions": 7,
-        "min-factorizations-free-iff-simple": 6,
+        "min-factorizations-free-iff-simple": 7,
     }
 
 

@@ -2,7 +2,6 @@
 
 Exhaustive over S_1..S_6, plus seeded windows at n = 10..200."""
 
-import random
 from itertools import permutations
 
 import pytest
@@ -22,24 +21,6 @@ from coxdepth.decomp import (
 
 def windows(n):
     return permutations(range(1, n + 1))
-
-
-def seeded_window(seed):
-    # n runs from 10 to 200 over seeds 0..49; odd seeds shuffle
-    # uniformly, even seeds swap three random pairs of the identity
-    rng = random.Random(seed)
-    n = 10 + seed * 190 // 49
-    w = list(range(1, n + 1))
-    if seed % 2:
-        rng.shuffle(w)
-    else:
-        for _ in range(3):
-            i, j = rng.sample(range(n), 2)
-            w[i], w[j] = w[j], w[i]
-    return tuple(w)
-
-
-LARGE = [seeded_window(seed) for seed in range(50)]
 
 
 def same_walk(w):
@@ -224,21 +205,21 @@ def test_verify_refuses_factors_outside_the_window(factors):
         verify_factorization(parse("321"), f)
 
 
-def test_large_n_shallow_certificates_verify():
-    for w in LARGE:
+def test_large_n_shallow_certificates_verify(large_windows):
+    for w in large_windows:
         assert verify_factorization(w, shallow_decomp(w)).ok, w
 
 
-def test_large_n_traces_walk_the_same_windows():
-    for w in LARGE:
+def test_large_n_traces_walk_the_same_windows(large_windows):
+    for w in large_windows:
         assert same_walk(w), w
 
 
-def test_large_n_sorting_index_dominates_depth():
-    for w in LARGE:
+def test_large_n_sorting_index_dominates_depth(large_windows):
+    for w in large_windows:
         assert sorting_index(w) == selection_factorization(w).total_weight >= depth(w), w
 
 
-def test_large_n_selection_step_count_is_reflection_length():
-    for w in LARGE:
+def test_large_n_selection_step_count_is_reflection_length(large_windows):
+    for w in large_windows:
         assert len(selection_factorization(w).factors) == reflection_length(w), w

@@ -1,6 +1,7 @@
 """Distribution tables, class counts, and serialization."""
 
 import json
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -223,3 +224,15 @@ def test_depth_distribution_agrees_with_direct_count():
         direct = Counter(depth(w) for w in permutations(range(1, n + 1)))
         row = depth_distribution("A", n).counts
         assert row == tuple(direct[k] for k in range(max(direct) + 1))
+
+
+def test_depth_moments_diaconis_graham():
+    # over S_n the mean depth is (n^2 - 1)/6 and the variance
+    # (n + 1)(2n^2 + 7)/180; the variance formula fails at n = 1
+    for n in range(2, 9):
+        column = columns(n).depth
+        size = len(column)
+        mean = Fraction(sum(column), size)
+        variance = Fraction(sum(d * d for d in column), size) - mean ** 2
+        assert mean == Fraction(n * n - 1, 6), n
+        assert variance == Fraction((n + 1) * (2 * n * n + 7), 180), n

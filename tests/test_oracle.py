@@ -1,20 +1,27 @@
-"""Cayley-graph oracles and bounded factorization enumeration."""
+"""Cayley-graph oracles and the pass that counts cheapest factorizations."""
 
 from collections import Counter, defaultdict
-from functools import reduce
-from itertools import permutations, product
+from functools import lru_cache, reduce
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
-from coxdepth.perm_core import identity, parse
+from coxdepth.perm_core import cycle_decomposition, parse
 from coxdepth.stats import depth, length, reflection_length
-from coxdepth.groups import GroupBackend, build_backend, dihedral_depth_formula
-from coxdepth.oracle import (
-    depth_oracle,
-    enumerate_min_factorizations,
-    reflection_length_oracle,
-)
+from coxdepth.groups import build_backend, dihedral_depth_formula, reflection_depth
+from coxdepth.oracle import depth_oracle, factorization_counts, reflection_length_oracle
 from coxdepth.patterns import is_free
+
+backend = lru_cache(maxsize=None)(build_backend)
+
+
+def unit(generators):
+    return [(g, 1) for g in generators]
+
+
+def depth_costs(b):
+    return [(t, reflection_depth(b, t)) for t in b.reflections]
 
 
 def test_depth_oracle_matches_formula():
@@ -69,24 +76,6 @@ def test_reflection_length_oracle_dihedral():
             assert table[b.rank((r, f))] == want, (m, r, f)
 
 
-def test_reflection_length_table_computed_once(monkeypatch):
-    b = build_backend("A", 4)
-    calls = []
-    engine = GroupBackend.distances
-
-    def counted(self, steps):
-        calls.append(len(steps))
-        return engine(self, steps)
-
-    monkeypatch.setattr(GroupBackend, "distances", counted)
-    first = enumerate_min_factorizations(b, parse("2341"))
-    second = enumerate_min_factorizations(b, parse("2341"))
-    assert first == second
-    assert calls == [len(b.reflections)]
-    assert reflection_length_oracle(b) is not reflection_length_oracle(b)
-    assert calls == [len(b.reflections)]
-
-
 def test_depth_oracle_dihedral_matches_closed_form():
     for m in range(2, 13):
         b = build_backend("I2", m)
@@ -105,62 +94,66 @@ def test_depth_oracle_signed_distributions():
 
 def test_enumerate_golden_three_cycle():
     b = build_backend("A", 3)
-    # reflections are ordered (1 2), (1 3), (2 3); the three minimal
-    # factorizations of 231 are s1.s2, t13.s1, s2.t13
-    assert enumerate_min_factorizations(b, parse("231")) == [(0, 2), (1, 0), (2, 1)]
+    r = b.rank(parse("231"))
+    # the three minimal factorizations of 231 are s1.s2, t13.s1 and
+    # s2.t13; only the first is a reduced word
+    assert factorization_counts(b, unit(b.reflections))[r] == 3
+    assert factorization_counts(b, unit(b.simples))[r] == 1
 
 
 def test_enumerate_identity_and_reflections():
-    b = build_backend("A", 4)
-    assert enumerate_min_factorizations(b, identity(4)) == [()]
-    for idx, t in enumerate(b.reflections):
-        assert enumerate_min_factorizations(b, t) == [(idx,)]
+    for kind, size in (("A", 4), ("B", 3), ("I2", 6)):
+        b = build_backend(kind, size)
+        counts = factorization_counts(b, unit(b.reflections))
+        assert counts[0] == 1
+        for t in b.reflections:
+            assert counts[b.rank(t)] == 1, (kind, t)
+
+
+def _cheapest_products(b, steps, top):
+    # {x: (least cost, number of step sequences of that cost)}, by
+    # multiplying out every sequence of total cost at most top
+    found = defaultdict(Counter)  # x -> {cost: sequences}
+
+    def extend(x, cost):
+        found[x][cost] += 1
+        for g, c in steps:
+            if cost + c <= top:
+                extend(b.multiply(x, g), cost + c)
+
+    extend(b.identity, 0)
+    return {x: (min(by_cost), by_cost[min(by_cost)]) for x, by_cost in found.items()}
 
 
 def test_enumerate_products_multiply_back():
-    b = build_backend("A", 4)
-    for w in b.elements:
-        for seq in enumerate_min_factorizations(b, w):
-            prod = b.identity
-            for idx in seq:
-                prod = b.multiply(prod, b.reflections[idx])
-            assert prod == w
-            assert len(seq) == reflection_length(w)
+    # the depth-costed counts against sequences multiplied out
+    for kind, size in (("A", 4), ("B", 3), ("I2", 6)):
+        b = build_backend(kind, size)
+        steps = depth_costs(b)
+        depths = depth_oracle(b)
+        brute = _cheapest_products(b, steps, max(depths))
+        assert len(brute) == len(b.elements)
+        counts = factorization_counts(b, steps)
+        for x in b.elements:
+            assert (depths[b.rank(x)], counts[b.rank(x)]) == brute[x], (kind, x)
 
 
-def test_enumerate_respects_budget():
-    b = build_backend("A", 3)
-    w = parse("231")
-    # the budget asks for products of exactly that many reflections
-    assert enumerate_min_factorizations(b, w, budget=1) == []
-    assert enumerate_min_factorizations(b, w, budget=2) == [(0, 2), (1, 0), (2, 1)]
-    # three reflections can never multiply to an even element
-    assert enumerate_min_factorizations(b, w, budget=3) == []
-    # the 2-factor products equal to the identity pair each reflection
-    # with itself
-    pairs = enumerate_min_factorizations(b, identity(3), budget=2)
-    assert pairs == [(0, 0), (1, 1), (2, 2)]
-
-
-@pytest.mark.parametrize("kind, size", [("A", 4), ("B", 3)])
+@pytest.mark.parametrize("kind, size", [("A", 4), ("B", 3), ("I2", 6)])
 def test_enumerate_matches_brute_force(kind, size):
-    # every reflection product of length k, grouped by its value, in
-    # lexicographic order of the index sequences
+    # every product of k reflections, and of k simples, grouped by its
+    # value, in lexicographic order of the index sequences
     b = build_backend(kind, size)
-    refl = b.reflections
-    rl = reflection_length_oracle(b)
-    top = min(max(rl) + 2, 6)
-    brute = {}
-    for k in range(top + 1):
-        by_value = defaultdict(list)
-        for seq in product(range(len(refl)), repeat=k):
-            by_value[reduce(b.multiply, (refl[i] for i in seq), b.identity)].append(seq)
-        brute[k] = by_value
-    for w in b.elements:
-        least = rl[b.rank(w)]
-        assert enumerate_min_factorizations(b, w) == brute[least][w]
-        for k in range(least, min(least + 2, 6) + 1):
-            assert enumerate_min_factorizations(b, w, budget=k) == brute[k].get(w, []), (w, k)
+    for gens, least in ((b.reflections, reflection_length_oracle(b)), (b.simples, b.lengths)):
+        brute = {}
+        for k in range(max(least) + 1):
+            by_value = defaultdict(list)
+            for seq in product(range(len(gens)), repeat=k):
+                by_value[reduce(b.multiply, (gens[i] for i in seq), b.identity)].append(seq)
+            brute[k] = by_value
+        counts = factorization_counts(b, unit(gens))
+        for w in b.elements:
+            r = b.rank(w)
+            assert counts[r] == len(brute[least[r]][w]), (w, gens)
 
 
 @pytest.mark.parametrize("kind, size", [("A", 5), ("B", 3), ("I2", 6)])
@@ -176,9 +169,8 @@ def test_searches_walk_tables_not_multiply(kind, size):
     b.multiply = counted
     depth_oracle(b)
     reflection_length_oracle(b)
-    for w in b.elements[:: max(1, len(b.elements) // 20)]:
-        enumerate_min_factorizations(b, w)
-        enumerate_min_factorizations(b, w, budget=4)
+    for steps in (unit(b.reflections), depth_costs(b), unit(b.simples)):
+        factorization_counts(b, steps)
     assert calls == []
     # a second search on the same backend reuses every table
     tables = dict(b._tables)
@@ -188,23 +180,24 @@ def test_searches_walk_tables_not_multiply(kind, size):
     assert all(b._tables[g] is tables[g] for g in tables)
 
 
-def test_enumerate_caps():
-    with pytest.raises(ValueError):
-        enumerate_min_factorizations(build_backend("A", 3), parse("231"), budget=7)
-    with pytest.raises(ValueError):
-        enumerate_min_factorizations(build_backend("A", 7), identity(7))
-
-
 def test_free_iff_all_minimal_factorizations_simple():
+    # the minimal factorizations found by multiplying out every product
+    # of rlength(w) reflections
     for n in range(2, 5):
         b = build_backend("A", n)
-        simple_idx = {b.reflections.index(s) for s in b.simples}
+        refl = b.reflections
+        simple_idx = {refl.index(s) for s in b.simples}
+        minimal = defaultdict(list)
+        for k in range(n):
+            for seq in product(range(len(refl)), repeat=k):
+                w = reduce(b.multiply, (refl[i] for i in seq), b.identity)
+                if reflection_length(w) == k:
+                    minimal[w].append(seq)
         for w in b.elements:
             if length(w) != reflection_length(w):
                 continue
-            seqs = enumerate_min_factorizations(b, w)
-            all_simple = all(i in simple_idx for seq in seqs for i in seq)
-            assert all_simple == is_free(w)
+            all_simple = all(i in simple_idx for seq in minimal[w] for i in seq)
+            assert all_simple == is_free(w), w
 
 
 def test_oracle_depth_never_below_reflection_length():
@@ -213,3 +206,53 @@ def test_oracle_depth_never_below_reflection_length():
         depths = depth_oracle(b)
         rls = reflection_length_oracle(b)
         assert all(r <= d for r, d in zip(rls, depths))
+
+
+def _w0(n):
+    return tuple(range(n, 0, -1))
+
+
+def test_counts_denes_minimal_factorizations():
+    # Dénes (1959): w with cycle lengths k_i has
+    # rl! * prod k_i^(k_i - 2) / (k_i - 1)! minimal factorizations
+    for n in range(1, 7):
+        b = backend("A", n)
+        counts = factorization_counts(b, unit(b.reflections))
+        for w in b.elements:
+            ks = [len(c) for c in cycle_decomposition(w) if len(c) > 1]
+            num = factorial(reflection_length(w)) * prod(k ** (k - 2) for k in ks)
+            den = prod(factorial(k - 1) for k in ks)
+            assert counts[b.rank(w)] * den == num, w
+
+
+def test_counts_stanley_reduced_words_of_w0():
+    # Stanley (1984): w0 of S_n has C(n,2)! / prod (2i-1)^(n-i) reduced words
+    got = []
+    for n in range(2, 8):
+        b = backend("A", n)
+        words = factorization_counts(b, unit(b.simples))[b.rank(_w0(n))]
+        assert words * prod((2 * i - 1) ** (n - i) for i in range(1, n)) == factorial(comb(n, 2))
+        got.append(words)
+    assert got == [1, 2, 16, 768, 292864, 1100742656]
+
+
+def test_counts_deligne_coxeter_element():
+    # Deligne: a Coxeter element of a rank r group with Coxeter number h
+    # has r! h^r / |W| minimal reflection factorizations
+    groups = [("A", n, n - 1, n) for n in range(1, 8)]
+    groups += [("B", n, n, 2 * n) for n in range(1, 6)]
+    groups += [("I2", m, 2, m) for m in range(3, 13)]
+    for kind, size, r, h in groups:
+        b = backend(kind, size)
+        c = reduce(b.multiply, b.simples, b.identity)
+        count = factorization_counts(b, unit(b.reflections))[b.rank(c)]
+        assert count * len(b.elements) == factorial(r) * h ** r, (kind, size)
+
+
+def test_counts_depth_attaining_factorizations_of_w0():
+    # regression row, no closed form claimed
+    got = []
+    for n in range(2, 8):
+        b = backend("A", n)
+        got.append(factorization_counts(b, depth_costs(b))[b.rank(_w0(n))])
+    assert got == [1, 1, 2, 2, 6, 6]

@@ -138,3 +138,10 @@ def test_apply_transposition_right_validates():
         apply_transposition_right(w, 1, 4)
     with pytest.raises(ValueError):
         apply_transposition_right(w, 0, 2)
+
+
+def test_large_n_parse_format_round_trip(large_windows):
+    for w in large_windows:
+        text = perm_core.format(w)
+        assert " " in text
+        assert parse(text) == w

@@ -132,3 +132,15 @@ def test_depth_after_transposition_requires_increasing_values():
         depth_after_transposition(w, 2, 3)
     # w(1)=2 < w(2)=4 is accepted
     assert depth_after_transposition(w, 1, 2) == depth(parse("4231"))
+
+
+def test_large_n_depth_of_inverse(large_windows):
+    for w in large_windows:
+        assert depth(w) == depth(inverse(w)), w
+
+
+def test_diaconis_graham_bound(large_windows):
+    # Diaconis–Graham (1977): I + T <= D, that is length + rlength <= 2 depth
+    small = [w for n in range(1, 7) for w in windows(n)]
+    for w in small + large_windows:
+        assert length(w) + reflection_length(w) <= 2 * depth(w), w
