@@ -5,7 +5,9 @@ order `verify` prints them. check(k) sweeps the group or groups of size
 k and returns None when the property holds, or a one-line witness that
 names the element (or the size) and the values that disagree. Witness
 text is built only when a check fails, from the values compared. The
-statistics of S_k's windows are read from `enumeration.columns(k)`.
+statistics of S_k's windows are read from `enumeration.columns(k)`;
+the backend of a group and its oracle depths from
+`oracle.group_columns(kind, size)`, built once per group.
 
 No other module compares a computed result against an independent
 derivation, and the class counts' closed forms live only here. The
@@ -18,13 +20,12 @@ depth-delta-formula stays at 6, as the 564,480 transpositions of S_8
 take 1.6 s; the four A-backend oracle checks stay at 7, as A8 adds
 about 1.9 s and 6 MB of peak memory (+26%) to the run; and
 min-factorizations-free-iff-simple stays at 7 too: there it reuses
-their cached A7 backend, while building A8 alone takes 0.5-0.6 s, most
-of the headroom of the verify-n8 benchmark bound. The two dihedral
-checks ignore n: they cover I2(2)..I2(12), and I2(4) against B2, at
-every size."""
+their A7 record, while building A8 alone takes 0.5-0.6 s, most of the
+headroom of the verify-n8 benchmark bound. The two dihedral checks
+ignore n: they cover every I2(m) within the I2 cap of groups._CAPS,
+2..12, and I2(4) against B2, at every size."""
 
 from collections import Counter
-from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
@@ -32,14 +33,8 @@ from .perm_core import apply_transposition_right, compose, identity, inverse, pa
 from .perm_core import format as format_window
 from .stats import depth, depth_after_transposition, excedances, max_depth_bound, max_depth_count
 from .decomp import selection_factorization, shallow_decomp, sorting_index, verify_factorization
-from .groups import (
-    build_backend,
-    dihedral_depth_formula,
-    dihedral_gf,
-    joint_length_depth,
-    reflection_depth,
-)
-from .oracle import depth_oracle, factorization_counts, reflection_length_oracle
+from .groups import _CAPS, dihedral_depth_formula, dihedral_gf, joint_length_depth, reflection_depth
+from .oracle import factorization_counts, group_columns, reflection_length_oracle
 from .bijections import dyck_of_perm, lr_maxima, minimal_fiber_rep, steingrimsson_phi, steingrimsson_phi_inverse
 from .patterns import cycles_are_intervals, support
 from .enumeration import KNOWN_DEPTH_ROWS_A, columns, count_class, depth_distribution, joint_distribution
@@ -52,12 +47,6 @@ def _windows(k):
 def _rows(k, *names):
     # each window of S_k with its entries in the named columns
     return zip(_windows(k), *(getattr(columns(k), name) for name in names))
-
-
-@lru_cache(maxsize=1)
-def _backend(kind, size):
-    # the type-A oracle checks run one after another on one backend
-    return build_backend(kind, size)
 
 
 def _triple(w, rl, d, ln):
@@ -114,8 +103,7 @@ def class_count_witness(n, cls, k=None):
 
 def dihedral_witness(m):
     """A witness when the oracle disagrees with I2(m)'s depth formula or polynomial, else None."""
-    b = build_backend("I2", m)
-    depths = depth_oracle(b)
+    b, depths = group_columns("I2", m)
     for x, oracle in zip(b.elements, depths):
         formula = dihedral_depth_formula(b, x)
         if oracle != formula:
@@ -302,8 +290,8 @@ def _dyck_path_count(k):
 # ---------------------------------------------------------------- oracle
 
 def _depth_three_ways(k):
-    b = _backend("A", k)
-    for w, d, oracle in zip(b.elements, columns(k).depth, depth_oracle(b)):
+    b, depths = group_columns("A", k)
+    for w, d, oracle in zip(b.elements, columns(k).depth, depths):
         greedy = shallow_decomp(w).total_weight
         if not d == oracle == greedy:
             return "%s: formula %d, oracle %d, greedy %d" % (format_window(w), d, oracle, greedy)
@@ -311,7 +299,7 @@ def _depth_three_ways(k):
 
 
 def _rlength_two_ways(k):
-    b = _backend("A", k)
+    b = group_columns("A", k).backend
     for w, oracle, rl in zip(b.elements, reflection_length_oracle(b), columns(k).rlength):
         if oracle != rl:
             return "%s: oracle %d, cycle count %d" % (format_window(w), oracle, rl)
@@ -319,7 +307,7 @@ def _rlength_two_ways(k):
 
 
 def _backend_length_is_inversions(k):
-    b = _backend("A", k)
+    b = group_columns("A", k).backend
     for w, backend_length, ln in zip(b.elements, b.lengths, columns(k).length):
         if backend_length != ln:
             return "%s: backend length %d, inversions %d" % (format_window(w), backend_length, ln)
@@ -327,7 +315,7 @@ def _backend_length_is_inversions(k):
 
 
 def _reflections_are_transpositions(k):
-    b = _backend("A", k)
+    b = group_columns("A", k).backend
     seen = set()
     for t in b.reflections:
         moved = [i for i, x in enumerate(t, start=1) if x != i]
@@ -346,7 +334,7 @@ def _reflections_are_transpositions(k):
 
 def _signed_dihedral_cross_check(k):
     # the rank two signed group is the dihedral group of order 8
-    signed = Counter(depth_oracle(build_backend("B", 2)))
+    signed = Counter(group_columns("B", 2).depth)
     dihedral = Counter({d: c for d, c in enumerate(depth_distribution("I2", 4).counts) if c})
     if signed != dihedral:
         return "depth counts B2 %s, I2(4) %s" % (sorted(signed.items()), sorted(dihedral.items()))
@@ -354,14 +342,15 @@ def _signed_dihedral_cross_check(k):
 
 
 def _dihedral_formula_match(k):
-    return _first(map(dihedral_witness, range(2, 13)))
+    lo, hi = _CAPS["I2"]
+    return _first(map(dihedral_witness, range(lo, hi + 1)))
 
 
 def _min_factorizations_free_iff_simple(k):
     # at length = rlength every reduced word is a minimal reflection
     # factorization, and an all-simple one is a reduced word, so every
     # minimal factorization is simple iff the two counts agree
-    b = _backend("A", k)
+    b = group_columns("A", k).backend
     words = factorization_counts(b, [(s, 1) for s in b.simples])
     minimal = factorization_counts(b, [(t, 1) for t in b.reflections])
     c = columns(k)

@@ -2,8 +2,9 @@
 
 Everything here is exhaustive. columns(n) sweeps S_n once, cached per
 n; the type-A depth table, the joint tables, the class counts and the
-property checks fold its columns. Depth tables of the other families
-fold over every group element. coxdepth.checks compares the results.
+property checks fold its columns. The B and I2 depth tables fold the
+oracle's depth column of oracle.group_columns, cached per group.
+coxdepth.checks compares the results.
 """
 
 import json
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
 
-from .groups import build_backend, check_size, dihedral_depth_formula
-from .oracle import depth_oracle
+from .groups import check_size
+from .oracle import group_columns
 from .patterns import is_boolean, is_fc, is_free
 from .stats import depth, descents, drop, excedances, length, reflection_length
 
@@ -33,7 +34,7 @@ KNOWN_DEPTH_ROWS_A = {
 
 
 # Per-window statistics of S_n, one byte per window in lexicographic
-# order, which is also the rank order of build_backend("A", n). des and
+# order, which is also the rank order of the type-A backend. des and
 # exc count descents and excedances; fc, boolean and free are 1 or 0,
 # from the pattern scans. `coxdepth stat` prints them in this order.
 Columns = namedtuple("Columns", "length rlength depth drop des exc fc boolean free")
@@ -67,9 +68,6 @@ class DepthTable:
     stat: str
     counts: tuple
 
-    def total(self):
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class JointTable:
@@ -83,26 +81,19 @@ class JointTable:
     pair: tuple
     coeffs: tuple
 
-    def total(self):
-        return sum(c for _, c in self.coeffs)
-
 
 def depth_distribution(kind, n):
     """Counts of group elements by depth.
 
-    kind "A" folds the depth column of S_n (n up to 8),
-    kind "B" runs the weighted shortest-path oracle over signed windows
-    (n up to 5), kind "I2" applies the dihedral closed form (m = n up
-    to 12).
+    kind "A" folds the depth column of S_n (n up to 8); kinds "B" (n
+    up to 5) and "I2" (m = n up to 12) fold the weighted shortest-path
+    oracle's depths over every group element.
     """
     check_size(kind, n, "a kind %s depth table" % kind)
     if kind == "A":
         counts = Counter(columns(n).depth)
-    elif kind == "B":
-        counts = Counter(depth_oracle(build_backend("B", n)))
     else:
-        backend = build_backend("I2", n)
-        counts = Counter(dihedral_depth_formula(backend, x) for x in backend.elements)
+        counts = Counter(group_columns(kind, n).depth)
     table = tuple(counts.get(k, 0) for k in range(max(counts) + 1))
     return DepthTable(kind, n, "depth", table)
 

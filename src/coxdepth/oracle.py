@@ -15,9 +15,21 @@ ranks in order of distance counts the paths into every element. With
 unit-cost simples it counts reduced words, with unit-cost reflections
 minimal reflection factorizations, and with depth costs the
 factorizations that attain the depth. It reads only the Cayley tables.
+
+group_columns(kind, size) is the one cached record per group: the
+backend, built once, and the oracle's depth of each element. The
+checks and the B and I2 depth tables read it; the searches themselves
+stay uncached and return fresh objects.
 """
 
-from .groups import reflection_depth
+from collections import namedtuple
+from functools import lru_cache
+
+from .groups import build_backend, reflection_depth
+
+# The depth of each element as bytes indexed by rank; the lengths are
+# backend.lengths.
+GroupColumns = namedtuple("GroupColumns", "backend depth")
 
 
 def depth_oracle(backend):
@@ -28,6 +40,13 @@ def depth_oracle(backend):
 def reflection_length_oracle(backend):
     """Reflection lengths of all elements, indexed by backend rank."""
     return backend.distances([(t, 1) for t in backend.reflections])
+
+
+@lru_cache(maxsize=None)
+def group_columns(kind, size):
+    """The GroupColumns of build_backend(kind, size), computed once per group."""
+    backend = build_backend(kind, size)
+    return GroupColumns(backend, bytes(depth_oracle(backend)))
 
 
 def factorization_counts(backend, steps):

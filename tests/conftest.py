@@ -3,15 +3,18 @@ import sys
 
 import pytest
 
-from coxdepth import enumeration
+from coxdepth import enumeration, oracle
 
 
 @pytest.fixture
 def fresh_columns():
-    # a column built under a planted fault must not outlive its test
+    # a column or group record built under a planted fault must not
+    # outlive its test
     enumeration.columns.cache_clear()
+    oracle.group_columns.cache_clear()
     yield
     enumeration.columns.cache_clear()
+    oracle.group_columns.cache_clear()
 
 
 def _seeded_window(seed):

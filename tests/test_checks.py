@@ -1,13 +1,14 @@
-"""The check registry: it catches planted faults in the statistics and in
-the pattern scans, it keeps the names and order that the benchmark's
-verify gate compares line by line, and its caps stay the measured six."""
+"""The check registry: it catches planted faults in the statistics, in
+the pattern scans and in the Cayley-graph oracle, it keeps the names
+and order that the benchmark's verify gate compares line by line, and
+its caps stay the measured six."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from coxdepth import checks, enumeration
+from coxdepth import checks, enumeration, oracle
 from coxdepth.patterns import is_fc, is_free
 from coxdepth.stats import depth
 
@@ -45,6 +46,41 @@ def test_planted_free_scan_fault_is_named(monkeypatch, fresh_columns):
     monkeypatch.setattr(enumeration, "is_free", lambda w: is_free(w) != (w == (2, 3, 1)))
     witness = checks.run("min-factorizations-free-iff-simple", 3)
     assert witness is not None and "231" in witness
+
+
+def _one_too_high(search, kind, size, x):
+    # search, with its value at element x of group (kind, size) raised by 1
+    def faulty(b):
+        values = search(b)
+        if (b.kind, b.size) == (kind, size):
+            values[b.rank(x)] += 1
+        return values
+
+    return faulty
+
+
+def test_planted_oracle_depth_fault_is_named(monkeypatch, fresh_columns):
+    monkeypatch.setattr(oracle, "depth_oracle", _one_too_high(oracle.depth_oracle, "A", 3, (2, 3, 1)))
+    witness = checks.run("depth-three-ways", 3)
+    assert witness is not None and "231" in witness
+
+
+def test_planted_oracle_rlength_fault_is_named(monkeypatch, fresh_columns):
+    faulty = _one_too_high(oracle.reflection_length_oracle, "A", 3, (2, 3, 1))
+    monkeypatch.setattr(checks, "reflection_length_oracle", faulty)
+    witness = checks.run("rlength-two-ways", 3)
+    assert witness is not None and "231" in witness
+
+
+def test_planted_signed_depth_fault_is_caught(monkeypatch, fresh_columns):
+    monkeypatch.setattr(oracle, "depth_oracle", _one_too_high(oracle.depth_oracle, "B", 2, (-1, -2)))
+    assert checks.run("signed-dihedral-cross-check", 3) is not None
+
+
+def test_planted_dihedral_depth_fault_is_named(monkeypatch, fresh_columns):
+    monkeypatch.setattr(oracle, "depth_oracle", _one_too_high(oracle.depth_oracle, "I2", 6, (3, 1)))
+    witness = checks.run("dihedral-formula-match", 3)
+    assert witness is not None and "I2(6) element (3, 1)" in witness
 
 
 def test_refined_closed_form_at_a_huge_length():

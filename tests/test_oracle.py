@@ -1,7 +1,7 @@
 """Cayley-graph oracles and the pass that counts cheapest factorizations."""
 
 from collections import Counter, defaultdict
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from math import comb, factorial, prod
 
@@ -10,11 +10,9 @@ import pytest
 from coxdepth.perm_core import cycle_decomposition, parse
 from coxdepth.stats import depth, length, reflection_length
 from coxdepth.groups import build_backend, dihedral_depth_formula, reflection_depth
-from coxdepth.oracle import depth_oracle, factorization_counts, reflection_length_oracle
+from coxdepth.enumeration import columns
+from coxdepth.oracle import depth_oracle, factorization_counts, group_columns, reflection_length_oracle
 from coxdepth.patterns import is_free
-
-backend = lru_cache(maxsize=None)(build_backend)
-
 
 def unit(generators):
     return [(g, 1) for g in generators]
@@ -216,7 +214,7 @@ def test_counts_denes_minimal_factorizations():
     # Dénes (1959): w with cycle lengths k_i has
     # rl! * prod k_i^(k_i - 2) / (k_i - 1)! minimal factorizations
     for n in range(1, 7):
-        b = backend("A", n)
+        b = group_columns("A", n).backend
         counts = factorization_counts(b, unit(b.reflections))
         for w in b.elements:
             ks = [len(c) for c in cycle_decomposition(w) if len(c) > 1]
@@ -229,7 +227,7 @@ def test_counts_stanley_reduced_words_of_w0():
     # Stanley (1984): w0 of S_n has C(n,2)! / prod (2i-1)^(n-i) reduced words
     got = []
     for n in range(2, 8):
-        b = backend("A", n)
+        b = group_columns("A", n).backend
         words = factorization_counts(b, unit(b.simples))[b.rank(_w0(n))]
         assert words * prod((2 * i - 1) ** (n - i) for i in range(1, n)) == factorial(comb(n, 2))
         got.append(words)
@@ -243,7 +241,7 @@ def test_counts_deligne_coxeter_element():
     groups += [("B", n, n, 2 * n) for n in range(1, 6)]
     groups += [("I2", m, 2, m) for m in range(3, 13)]
     for kind, size, r, h in groups:
-        b = backend(kind, size)
+        b = group_columns(kind, size).backend
         c = reduce(b.multiply, b.simples, b.identity)
         count = factorization_counts(b, unit(b.reflections))[b.rank(c)]
         assert count * len(b.elements) == factorial(r) * h ** r, (kind, size)
@@ -253,6 +251,51 @@ def test_counts_depth_attaining_factorizations_of_w0():
     # regression row, no closed form claimed
     got = []
     for n in range(2, 8):
-        b = backend("A", n)
+        b = group_columns("A", n).backend
         got.append(factorization_counts(b, depth_costs(b))[b.rank(_w0(n))])
     assert got == [1, 1, 2, 2, 6, 6]
+
+
+# every group the backends build within the caps, A8 aside
+GROUPS = [("A", n) for n in range(1, 8)] + [("B", n) for n in range(1, 6)] + [("I2", m) for m in range(2, 13)]
+
+
+def _length_rlength_depth(kind, size):
+    b, depths = group_columns(kind, size)
+    return list(zip(b.lengths, reflection_length_oracle(b), depths))
+
+
+@pytest.mark.parametrize("kind, size", GROUPS)
+def test_group_columns_is_the_oracle_once(kind, size):
+    record = group_columns(kind, size)
+    assert group_columns(kind, size) is record
+    assert isinstance(record.depth, bytes)
+    assert list(record.depth) == depth_oracle(build_backend(kind, size))
+
+
+@pytest.mark.parametrize("kind, size", GROUPS)
+def test_family_free_statements(kind, size):
+    # these hold in every Coxeter group: each reflection costs at least
+    # 1 and only a simple exactly 1, and a reflection of length l costs
+    # (l + 1) / 2 while length is subadditive
+    for r, (ln, rl, dp) in enumerate(_length_rlength_depth(kind, size)):
+        assert rl <= dp <= ln, (kind, size, r)
+        assert (dp == rl) == (ln == rl), (kind, size, r)
+        assert ln + rl <= 2 * dp, (kind, size, r)  # Diaconis-Graham
+
+
+def _diaconis_graham_equalities(rows):
+    return sum(ln + rl == 2 * dp for ln, rl, dp in rows)
+
+
+def test_diaconis_graham_equality_rows():
+    # regression rows, no closed form claimed; in I2(m) every element
+    # attains the bound
+    got = [_diaconis_graham_equalities(_length_rlength_depth("A", n)) for n in range(1, 8)]
+    c = columns(8)
+    got.append(_diaconis_graham_equalities(zip(c.length, c.rlength, c.depth)))
+    assert got == [1, 2, 6, 23, 103, 511, 2719, 15205]
+    got = [_diaconis_graham_equalities(_length_rlength_depth("B", n)) for n in range(1, 6)]
+    assert got == [2, 8, 46, 316, 2358]
+    for m in range(2, 13):
+        assert _diaconis_graham_equalities(_length_rlength_depth("I2", m)) == 2 * m
