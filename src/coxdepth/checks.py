@@ -14,18 +14,33 @@ derivation, and the class counts' closed forms live only here. The
 registry loops over class_count_witness and dihedral_witness, which
 `coxdepth table class` and `coxdepth dihedral` also ask.
 
+Seven rows share three sweeps over S_k, each run once per k by
+_shared, which caches the tuple of its rows' witnesses, not the
+images, which would hold memory for the rest of the run: phi for
+phi-bijective, phi-transports-stats and phi-round-trip; the inverse
+for compose-inverse-identity and depth-of-inverse; the Dyck path for
+fiber-unique-minimal and dyck-path-count. Each row keeps the first
+witness a loop of its own would find, but a map that raises fails
+every row of its sweep. A sweep's time, like that of a column or group
+record, is billed to the first row that reads it:
+compose-inverse-identity (which also pays for columns(k) in a full
+run), phi-bijective and fiber-unique-minimal.
+
 run(name, n) calls a check at min(n, cap); a cap of None runs it at n.
-Six checks keep a cap, measured at n = 8 (Python 3.11.7, 2 vCPUs):
+Six checks keep a cap, measured at n = 8 in one process (Python 3.11.7
+on a shared VM with 2 vCPUs, where `verify --n 8` takes 2.3-2.7 s):
 depth-delta-formula stays at 6, as the 564,480 transpositions of S_8
-take 1.6 s; the four A-backend oracle checks stay at 7, as A8 adds
-about 1.9 s and 6 MB of peak memory (+26%) to the run; and
+take 0.84-0.96 s; the four A-backend oracle checks stay at 7, as at 8
+they take 0.74-0.88 s against 0.07-0.08 s at 7, and raise the run's
+peak memory from 21.5 to 30.3 MB; and
 min-factorizations-free-iff-simple stays at 7 too: there it reuses
-their A7 record, while building A8 alone takes 0.5-0.6 s, most of the
-headroom of the verify-n8 benchmark bound. The two dihedral checks
+their A7 record, while at 8 it would need the A8 record, whose
+backend alone takes 0.28-0.29 s to build. The two dihedral checks
 ignore n: they cover every I2(m) within the I2 cap of groups._CAPS,
 2..12, and I2(4) against B2, at every size."""
 
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
@@ -56,6 +71,12 @@ def _triple(w, rl, d, ln):
 def _first(witnesses):
     # the first witness a sequence of checks yields, or None
     return next((w for w in witnesses if w is not None), None)
+
+
+@lru_cache(maxsize=None)
+def _shared(sweep, k):
+    # the tuple of witnesses of a sweep that several rows read, one sweep per k
+    return sweep(k)
 
 
 # ---------------------------------------------------------- closed forms
@@ -123,14 +144,23 @@ def _parse_format_round_trip(k):
     return None
 
 
-def _compose_inverse_identity(k):
+def _inverse_sweep(k):
+    # w^-1 of each window once, for compose-inverse-identity and
+    # depth-of-inverse, each keeping its first witness
     e = identity(k)
-    for w in _windows(k):
+    composed = inverted = None
+    for w, d in _rows(k, "depth"):
         v = inverse(w)
-        if compose(w, v) != e or compose(v, w) != e:
-            return "%s with inverse %s: w w^-1 = %s, w^-1 w = %s" % tuple(
+        if composed is None and (compose(w, v) != e or compose(v, w) != e):
+            composed = "%s with inverse %s: w w^-1 = %s, w^-1 w = %s" % tuple(
                 map(format_window, (w, v, compose(w, v), compose(v, w))))
-    return None
+        if inverted is None and d != depth(v):
+            inverted = "depth(%s) = %d, depth(%s) = %d" % (format_window(w), d, format_window(v), depth(v))
+    return composed, inverted
+
+
+def _compose_inverse_identity(k):
+    return _shared(_inverse_sweep, k)[0]
 
 
 def _bounds_chain(k):
@@ -149,12 +179,7 @@ def _depth_rlength_collapse(k):
 
 
 def _depth_of_inverse(k):
-    for w in _windows(k):
-        v = inverse(w)
-        if depth(w) != depth(v):
-            return "depth(%s) = %d, depth(%s) = %d" % (
-                format_window(w), depth(w), format_window(v), depth(v))
-    return None
+    return _shared(_inverse_sweep, k)[1]
 
 
 def _excedance_cover_bound(k):
@@ -163,10 +188,11 @@ def _excedance_cover_bound(k):
     for w in _windows(k):
         maxima = {i for i, _ in lr_maxima(w)}
         for i in excedances(w):
-            crossings = sum(1 for j in range(i + 1, k + 1) if w[j - 1] < w[i - 1])
-            if crossings < w[i - 1] - i or (crossings == w[i - 1] - i) != (i in maxima):
+            x = w[i - 1]
+            crossings = sum(y < x for y in w[i:])
+            if crossings < x - i or (crossings == x - i) != (i in maxima):
                 return "%s, excedance at %d: %d crossings, w(i) - i = %d, left-to-right maximum %s" % (
-                    format_window(w), i, crossings, w[i - 1] - i, i in maxima)
+                    format_window(w), i, crossings, x - i, i in maxima)
     return None
 
 
@@ -219,34 +245,42 @@ def _depth_delta_formula(k):
 
 # ------------------------------------------------------------- bijection
 
-def _phi_bijective(k):
-    images = set()
-    for w in _windows(k):
+def _phi_sweep(k):
+    # phi of each window once, for phi-bijective, phi-transports-stats
+    # and phi-round-trip, each keeping its first witness; the image set
+    # stops growing at the first repeat
+    images, bijective, transports, round_trip = set(), None, None, None
+    for w, des, dr in _rows(k, "des", "drop"):
         v = steingrimsson_phi(w)
-        if v in images:
-            return "phi(%s) = %s repeats an earlier image" % (format_window(w), format_window(v))
-        images.add(v)
-    if len(images) != factorial(k):
-        return "phi takes %d values on S_%d, expected %d" % (len(images), k, factorial(k))
-    return None
+        if bijective is None:
+            image = bytes(v)  # under half the memory of the tuple
+            if image in images:
+                bijective = "phi(%s) = %s repeats an earlier image" % (format_window(w), format_window(v))
+            images.add(image)
+        if transports is None:
+            exc, dp = len(excedances(v)), depth(v)
+            if des != exc or dr != dp:
+                transports = "phi(%s) = %s: des %d, exc %d, drop %d, depth %d" % (
+                    format_window(w), format_window(v), des, exc, dr, dp)
+        if round_trip is None:
+            back = steingrimsson_phi_inverse(v)
+            if back != w:
+                round_trip = "phi^-1(phi(%s)) = %s" % (format_window(w), format_window(back))
+    if bijective is None and len(images) != factorial(k):
+        bijective = "phi takes %d values on S_%d, expected %d" % (len(images), k, factorial(k))
+    return bijective, transports, round_trip
+
+
+def _phi_bijective(k):
+    return _shared(_phi_sweep, k)[0]
 
 
 def _phi_transports_stats(k):
-    for w, des, dr in _rows(k, "des", "drop"):
-        v = steingrimsson_phi(w)
-        exc, dp = len(excedances(v)), depth(v)
-        if des != exc or dr != dp:
-            return "phi(%s) = %s: des %d, exc %d, drop %d, depth %d" % (
-                format_window(w), format_window(v), des, exc, dr, dp)
-    return None
+    return _shared(_phi_sweep, k)[1]
 
 
 def _phi_round_trip(k):
-    for w in _windows(k):
-        back = steingrimsson_phi_inverse(steingrimsson_phi(w))
-        if back != w:
-            return "phi^-1(phi(%s)) = %s" % (format_window(w), format_window(back))
-    return None
+    return _shared(_phi_sweep, k)[2]
 
 
 def _joint_tables_equal(k):
@@ -259,16 +293,25 @@ def _joint_tables_equal(k):
     return None
 
 
-def _fiber_unique_minimal(k):
-    reps = {}
+def _dyck_sweep(k):
+    # the Dyck path of each window once, for fiber-unique-minimal and
+    # dyck-path-count: reps ends up keyed by every path reached
+    reps, fiber = {}, None
     for w, d, ln in _rows(k, "depth", "length"):
         path = dyck_of_perm(w)
         if path not in reps:
             reps[path] = minimal_fiber_rep(path)
-        if (d == ln) != (w == reps[path]):
-            return "%s: depth %d, length %d, its fiber's minimal element %s" % (
+        if fiber is None and (d == ln) != (w == reps[path]):
+            fiber = "%s: depth %d, length %d, its fiber's minimal element %s" % (
                 format_window(w), d, ln, format_window(reps[path]))
-    return None
+    found, catalan = len(reps), _catalan(k)
+    if found != catalan:
+        return fiber, "S_%d reaches %d Dyck paths, Catalan number %d" % (k, found, catalan)
+    return fiber, None
+
+
+def _fiber_unique_minimal(k):
+    return _shared(_dyck_sweep, k)[0]
 
 
 def _lr_maxima_lower_bound(k):
@@ -280,11 +323,7 @@ def _lr_maxima_lower_bound(k):
 
 
 def _dyck_path_count(k):
-    found = len({dyck_of_perm(w) for w in _windows(k)})
-    catalan = _catalan(k)
-    if found != catalan:
-        return "S_%d reaches %d Dyck paths, Catalan number %d" % (k, found, catalan)
-    return None
+    return _shared(_dyck_sweep, k)[1]
 
 
 # ---------------------------------------------------------------- oracle

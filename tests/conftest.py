@@ -3,18 +3,25 @@ import sys
 
 import pytest
 
-from coxdepth import enumeration, oracle
+from coxdepth import checks, enumeration, oracle
+
+
+def _clear_caches():
+    # every functools cache of these modules, found by attribute so that
+    # a cache added later is cleared too
+    for module in (enumeration, oracle, checks):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 @pytest.fixture
 def fresh_columns():
-    # a column or group record built under a planted fault must not
-    # outlive its test
-    enumeration.columns.cache_clear()
-    oracle.group_columns.cache_clear()
+    # a column, group record or shared witness built under a planted
+    # fault must not outlive its test
+    _clear_caches()
     yield
-    enumeration.columns.cache_clear()
-    oracle.group_columns.cache_clear()
+    _clear_caches()
 
 
 def _seeded_window(seed):
